@@ -7,6 +7,8 @@ failure.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -14,14 +16,15 @@ from pathlib import Path
 import numpy as np
 
 from .graphs import (DirectedGraph, EdgeListError, GraphStructureError,
-                     apply_ordering, largest_scc, largest_wcc, parse_edge_list,
-                     serialize_edge_list, serialize_ordering)
+                     apply_ordering, csv_text, largest_scc, largest_wcc,
+                     parse_edge_list, serialize_edge_list, serialize_ordering)
 from .inference import (GAMMA_MAX, GAMMA_MIN, ComparisonReport, compare_models,
                         fit_gamma_density, fit_gamma_mle, select_g)
 from .models import (PRDRGParams, TrophicParams, gen_clustered_angles,
-                     gen_trophic_levels, make_prdrg_loglik, make_trophic_loglik,
-                     prdrg_expected_edges, prdrg_sample, trophic_expected_edges,
-                     trophic_sample, weighted_trophic_logdensity)
+                     gen_trophic_levels, make_prdrg_expected_edges,
+                     make_prdrg_loglik, make_trophic_loglik, prdrg_sample,
+                     trophic_expected_edges, trophic_sample,
+                     weighted_trophic_logdensity)
 from .spectral import (NumericalError, assignment_to_csv, magnetic_algorithm,
                        trophic_algorithm)
 
@@ -210,6 +213,7 @@ def _format_report(cfg: RunConfig, dataset: str, raw: DirectedGraph,
     lines.append(f"gamma_mle = {GAMMA_FMT % best.gamma_mle}")
     lines.append(f"loglik = {LOGLIK_FMT % best.loglik_at_mle}")
     lines.append(f"gamma_at_upper_bound = {str(best.at_upper_bound).lower()}")
+    lines.append(f"gamma_at_lower_bound = {str(best.at_lower_bound).lower()}")
     lines.append("gamma_density = " + (GAMMA_FMT % best.gamma_density
                                        if best.gamma_density is not None else "n/a"))
     lines.append("")
@@ -218,6 +222,7 @@ def _format_report(cfg: RunConfig, dataset: str, raw: DirectedGraph,
     lines.append(f"gamma_mle = {GAMMA_FMT % trophic.gamma_mle}")
     lines.append(f"loglik = {LOGLIK_FMT % trophic.loglik_at_mle}")
     lines.append(f"gamma_at_upper_bound = {str(trophic.at_upper_bound).lower()}")
+    lines.append(f"gamma_at_lower_bound = {str(trophic.at_lower_bound).lower()}")
     lines.append("gamma_density = " + (GAMMA_FMT % trophic.gamma_density
                                        if trophic.gamma_density is not None else "n/a"))
     lines.append("")
@@ -247,9 +252,9 @@ def cmd_compare(args) -> int:
     _write(out / "report.txt",
            _format_report(cfg, dataset, parsed.graph, parsed.self_loops_dropped,
                           used, sub, report))
-    summary = ("dataset,nodes,edges,g,ln_ratio\n"
-               f"{dataset},{sub.n},{sub.edge_count},"
-               f"{_g_label(cfg, report.best_g)},{LOGLIK_FMT % report.log_ratio}\n")
+    summary = csv_text(["dataset", "nodes", "edges", "g", "ln_ratio"],
+                       [(dataset, sub.n, sub.edge_count, _g_label(cfg, report.best_g),
+                         LOGLIK_FMT % report.log_ratio)])
     _write(out / "summary.csv", summary)
     _write(out / "phases.csv", assignment_to_csv(sub, report.phases.theta))
     _write(out / "levels.csv", assignment_to_csv(sub, report.levels.h))
@@ -352,17 +357,21 @@ def cmd_generate(args) -> int:
 
 def _read_attributes(path: Path, graph: DirectedGraph) -> np.ndarray:
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise _fail("read", str(exc), EXIT_INPUT) from exc
-    rows = [line.strip() for line in lines if line.strip()]
-    if rows and rows[0].lower().startswith("label,"):
+    try:
+        rows = [row for row in csv.reader(io.StringIO(text))
+                if any(field.strip() for field in row)]
+    except csv.Error as exc:
+        raise _fail("attributes", f"unreadable CSV: {exc}", EXIT_INPUT) from exc
+    if rows and rows[0][0].strip().lower() == "label":
         rows = rows[1:]
     values: dict[str, float] = {}
     for lineno, row in enumerate(rows, start=1):
         try:
-            label, text = row.rsplit(",", 1)
-            values[label] = float(text)
+            label, value = row
+            values[label.strip()] = float(value)
         except ValueError:
             raise _fail("attributes", f"bad attribute row {lineno}: {row!r}",
                         EXIT_INPUT) from None
@@ -395,7 +404,7 @@ def cmd_curve(args) -> int:
                             "edge list", EXIT_INPUT)
             g = _parse_single_g(args.g)
             loglik = make_prdrg_loglik(graph, attributes, g)
-            density_expected = lambda gamma: prdrg_expected_edges(attributes, gamma, g)
+            density_expected = make_prdrg_expected_edges(attributes, g)
         elif graph.is_weighted:
             loglik = lambda gamma: weighted_trophic_logdensity(
                 graph, TrophicParams(attributes, gamma))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -273,11 +275,19 @@ def apply_ordering(graph: DirectedGraph, score) -> np.ndarray:
     return np.argsort(score, kind="stable")
 
 
+def csv_text(header, rows) -> str:
+    """CSV text with minimal quoting and ``\n`` line ends."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
 def serialize_ordering(graph: DirectedGraph, perm: np.ndarray) -> str:
     """CSV mapping each original label to its rank under ``perm``."""
     perm = np.asarray(perm)
     rank = np.empty(graph.n, dtype=int)
     rank[perm] = np.arange(graph.n)
-    lines = ["original_label,rank"]
-    lines += [f"{graph.label(i)},{rank[i]}" for i in range(graph.n)]
-    return "".join(line + "\n" for line in lines)
+    return csv_text(["original_label", "rank"],
+                    ((graph.label(i), int(rank[i])) for i in range(graph.n)))

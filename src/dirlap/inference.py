@@ -9,10 +9,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .graphs import DirectedGraph, GraphStructureError
-from .models import (make_prdrg_loglik, make_trophic_loglik,
-                     prdrg_expected_edges, trophic_expected_edges)
+from .models import (make_prdrg_expected_edges, make_prdrg_loglik,
+                     make_trophic_loglik, trophic_expected_edges)
 from .spectral import (NumericalError, PhaseAssignment, TrophicAssignment,
-                       magnetic_algorithm, trophic_algorithm)
+                       _magnetic_phases, _magnetic_view, trophic_algorithm)
 
 #: rotation parameters probed by default: up to six directed clusters
 DEFAULT_G_CANDIDATES = (1 / 2, 1 / 3, 1 / 4, 1 / 5, 1 / 6)
@@ -73,13 +73,17 @@ class GammaFit:
 
     ``at_upper_bound`` flags a maximum sitting on the gamma_max boundary,
     which happens on very sparse networks where the likelihood keeps
-    rising over the whole tested range.  ``grid`` and ``grid_loglik`` are
-    the coarse probe points, kept for reporting likelihood curves.
+    rising over the whole tested range.  ``at_lower_bound`` flags a
+    returned gamma equal to gamma_min, where the likelihood falls from
+    gamma_min on (e.g. dense graphs without the model's structure).
+    ``grid`` and ``grid_loglik`` are the coarse probe points, kept for
+    reporting likelihood curves.
     """
 
     gamma: float
     loglik: float
     at_upper_bound: bool
+    at_lower_bound: bool
     grid: np.ndarray
     grid_loglik: np.ndarray
 
@@ -104,13 +108,15 @@ def fit_gamma_mle(loglik: Callable[[float], float], gamma_min: float = GAMMA_MIN
     values = np.array([_probe(loglik, float(x)) for x in grid])
     best = int(np.argmax(values))
     if best == len(grid) - 1:
-        return GammaFit(float(grid[-1]), float(values[-1]), True, grid, values)
+        return GammaFit(float(grid[-1]), float(values[-1]), True, False,
+                        grid, values)
     lo = float(grid[best - 1]) if best > 0 else float(grid[0])
     hi = float(grid[best + 1])
     gamma, value = _golden_max(loglik, lo, hi, tol)
     if values[best] > value:
         gamma, value = float(grid[best]), float(values[best])
-    return GammaFit(float(gamma), float(value), False, grid, values)
+    return GammaFit(float(gamma), float(value), False, gamma == gamma_min,
+                    grid, values)
 
 
 def fit_gamma_density(expected_edges: Callable[[float], float], observed: float,
@@ -151,6 +157,7 @@ class GCandidateFit:
     gamma_mle: float
     loglik: float
     at_upper_bound: bool
+    at_lower_bound: bool
 
 
 @dataclass(frozen=True)
@@ -179,11 +186,13 @@ def select_g(graph: DirectedGraph, candidates: Sequence[float] = DEFAULT_G_CANDI
     fits: list[GCandidateFit] = []
     best_key = None
     best_pack = None
+    sym = _magnetic_view(graph)
     for g in candidates:
-        assignment = magnetic_algorithm(graph, g)
+        assignment = _magnetic_phases(sym, g)
         fit = fit_gamma_mle(make_prdrg_loglik(graph, assignment.theta, g),
                             gamma_min, gamma_max)
-        candidate = GCandidateFit(float(g), fit.gamma, fit.loglik, fit.at_upper_bound)
+        candidate = GCandidateFit(float(g), fit.gamma, fit.loglik,
+                                  fit.at_upper_bound, fit.at_lower_bound)
         fits.append(candidate)
         key = (fit.loglik, float(g))
         if best_key is None or key > best_key:
@@ -209,6 +218,7 @@ class ModelFit:
     gamma_density: float | None
     g: float | None
     at_upper_bound: bool
+    at_lower_bound: bool
     curve_gamma: np.ndarray
     curve_loglik: np.ndarray
 
@@ -258,9 +268,8 @@ def compare_models(graph: DirectedGraph,
     if graph.is_weighted:
         raise ValueError("model comparison is defined for unweighted graphs")
     selection = select_g(graph, candidates, gamma_min, gamma_max)
-    theta = selection.assignment.theta
     prdrg_density = _density_estimate(
-        lambda gamma: prdrg_expected_edges(theta, gamma, selection.best.g),
+        make_prdrg_expected_edges(selection.assignment.theta, selection.best.g),
         graph.edge_count, gamma_max)
     prdrg_fit = ModelFit(
         model="directed-pRDRG",
@@ -269,6 +278,7 @@ def compare_models(graph: DirectedGraph,
         gamma_density=prdrg_density,
         g=selection.best.g,
         at_upper_bound=selection.best.at_upper_bound,
+        at_lower_bound=selection.best.at_lower_bound,
         curve_gamma=selection.gamma_fit.grid,
         curve_loglik=selection.gamma_fit.grid_loglik,
     )
@@ -285,6 +295,7 @@ def compare_models(graph: DirectedGraph,
         gamma_density=trophic_density,
         g=None,
         at_upper_bound=trophic_gamma_fit.at_upper_bound,
+        at_lower_bound=trophic_gamma_fit.at_lower_bound,
         curve_gamma=trophic_gamma_fit.grid,
         curve_loglik=trophic_gamma_fit.grid_loglik,
     )

@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .graphs import DirectedGraph
+from .spectral import NumericalError
 
 TWO_PI = 2.0 * np.pi
 
@@ -132,26 +133,113 @@ def prdrg_pair_probs(theta_i: float, theta_j: float, gamma: float,
     return tuple(float(p) for p in probs)
 
 
-def _pair_arrays(graph: DirectedGraph):
-    """Upper-triangle pair indices and the observed outcome code per pair
-    (0 reciprocal, 1 forward, 2 backward, 3 none)."""
-    n = graph.n
-    adj = np.zeros((n, n), dtype=bool)
-    if graph.edges:
-        idx = np.array(graph.edges)
-        adj[idx[:, 0], idx[:, 1]] = True
-    iu, ju = np.triu_indices(n, k=1)
-    fwd = adj[iu, ju]
-    bwd = adj[ju, iu]
-    code = np.where(fwd & bwd, 0, np.where(fwd, 1, np.where(bwd, 2, 3)))
-    return iu, ju, code
+# Pair sums in Fourier space.  For an even 2*pi-periodic f with Fourier
+# coefficients c_k, and S_k = sum_i exp(1j*k*theta_i),
+#     sum_{i<j} f(theta_i - theta_j) = (sum_k c_k |S_k|^2 - n f(0)) / 2,
+# which costs O(n*K + M log M) with K modes and M grid points in place of
+# O(n^2).  The coefficients come from an rfft of f on M points; M doubles
+# from _MIN_GRID until the sampled coefficients above M/4 are at the
+# rounding level of the samples, and only the modes below M/4 are summed.
+
+_MIN_GRID = 256
+_MAX_GRID = 1 << 16      # enough for gamma up to ~1e4
+_TAIL_TOL = 4.0 * np.finfo(float).eps
+_REANCHOR = 64           # power-spectrum recurrence restarts every this many modes
+
+
+class _AngleSpectrum:
+    """Power |S_k|^2 of S_k = sum_i exp(1j*k*theta_i), extended on demand.
+
+    Works in O(n) memory: S_k comes from the recurrence
+    exp(1j*(k+1)*theta) = exp(1j*k*theta) * exp(1j*theta), restarted from a
+    direct evaluation every _REANCHOR modes so rounding does not build up.
+    Requests come in multiples of _REANCHOR, so a mode's value does not
+    depend on how many modes were requested before.
+    """
+
+    def __init__(self, theta: np.ndarray):
+        self.theta = theta
+        self.n = len(theta)
+        self._power = np.empty(0)
+
+    def power(self, modes: int) -> np.ndarray:
+        have = len(self._power)
+        if modes > have:
+            step = np.exp(1j * self.theta)
+            extra = np.empty(modes - have)
+            for k in range(have, modes):
+                if k % _REANCHOR == 0:
+                    wave = np.exp(1j * k * self.theta)
+                else:
+                    wave *= step
+                s = wave.sum()
+                extra[k - have] = s.real ** 2 + s.imag ** 2
+            self._power = np.concatenate([self._power, extra])
+        return self._power[:modes]
+
+
+def _pair_sum(spectrum: _AngleSpectrum, f: Callable[[np.ndarray], np.ndarray],
+              gamma: float) -> float:
+    """sum_{i<j} f(theta_i - theta_j) for an even, smooth 2*pi-periodic f.
+
+    Raises NumericalError when f is too sharp to resolve with _MAX_GRID
+    points (very large gamma), rather than returning a truncated sum.
+    """
+    grid = _MIN_GRID
+    while True:
+        values = f(TWO_PI / grid * np.arange(grid))
+        coef = np.fft.rfft(values).real / grid
+        if np.abs(coef[grid // 4:]).max() <= _TAIL_TOL * np.abs(values).max():
+            break
+        grid *= 2
+        if grid > _MAX_GRID:
+            raise NumericalError(
+                f"pair-model sums at gamma={gamma:g} need more than "
+                f"{_MAX_GRID // 4} Fourier modes; use a smaller decay rate")
+    modes = grid // 4
+    power = spectrum.power(modes)
+    total = coef[0] * power[0] + 2.0 * np.dot(coef[1:modes], power[1:])
+    return 0.5 * (total - spectrum.n * values[0])
+
+
+def _outcome_weights(beta: np.ndarray, gamma: float, g: float):
+    """exp(gamma * (b - b_none)) for the reciprocal, forward and backward
+    outcomes; every value lies in [0, 1] since 'none' has the top exponent."""
+    return (np.exp(gamma * (2.0 * np.cos(beta) - 2.0)),
+            np.exp(gamma * (np.cos(beta + TWO_PI * g) - 1.0)),
+            np.exp(gamma * (np.cos(beta - TWO_PI * g) - 1.0)))
+
+
+def _observed_excess(graph: DirectedGraph, theta: np.ndarray, g: float) -> float:
+    """sum over pairs of (b_observed - b_none), in O(m).
+
+    Absent pairs contribute 0.  An unreciprocated edge i -> j contributes
+    cos(beta + 2*pi*g) - 1 with beta = theta_i - theta_j, whether the
+    pair counts it as its forward or its backward outcome.  A reciprocated
+    pair contributes 2*cos(beta) - 2, split over its two edges.
+    """
+    if not graph.edges:
+        return 0.0
+    idx = np.array(graph.edges, dtype=np.int64)
+    src, dst = idx[:, 0], idx[:, 1]
+    key = src * graph.n + dst           # ascending: edges are sorted
+    rev = dst * graph.n + src
+    at = np.minimum(np.searchsorted(key, rev), len(key) - 1)
+    mutual = key[at] == rev
+    beta = theta[src] - theta[dst]
+    return float(np.sum(np.where(mutual, np.cos(beta),
+                                 np.cos(beta + TWO_PI * g)) - 1.0))
 
 
 def make_prdrg_loglik(graph: DirectedGraph, theta, g: float) -> Callable[[float], float]:
-    """Precompute pair terms and return gamma -> log-likelihood.
+    """Precompute the angle terms and return gamma -> log-likelihood.
 
-    Useful when the likelihood is probed at many decay rates for fixed
-    angles, as in the gamma fit.
+    Each pair contributes gamma*b_observed - log Z, and log Z equals
+    gamma*b_none + log(1 + sum of _outcome_weights).  The gamma*b_none
+    parts cancel against the observed term except on pairs with an edge,
+    so the likelihood is gamma * _observed_excess - sum over pairs of
+    log1p(...), the latter a Fourier pair sum.  Setup is O(n*K + m) and
+    a probe O(M log M).
     """
     if graph.is_weighted:
         raise ValueError("the pair model is defined for unweighted graphs")
@@ -159,16 +247,15 @@ def make_prdrg_loglik(graph: DirectedGraph, theta, g: float) -> Callable[[float]
     if theta.shape != (graph.n,):
         raise ValueError(f"theta has length {theta.size}, expected {graph.n}")
     g = _check_rotation(g)
-    iu, ju, code = _pair_arrays(graph)
-    bases = _pair_exponent_bases(theta[iu] - theta[ju], g)
-    chosen = bases[code, np.arange(len(code))]
+    spectrum = _AngleSpectrum(theta)
+    excess = _observed_excess(graph, theta, g)
 
     def loglik(gamma: float) -> float:
         gamma = _check_gamma(gamma)
-        expo = gamma * bases
-        peak = expo.max(axis=0)
-        log_z = peak + np.log(np.exp(expo - peak).sum(axis=0))
-        return float(np.sum(gamma * chosen - log_z))
+        log_z_excess = _pair_sum(
+            spectrum, lambda beta: np.log1p(sum(_outcome_weights(beta, gamma, g))),
+            gamma)
+        return float(gamma * excess - log_z_excess)
 
     return loglik
 
@@ -202,13 +289,31 @@ def prdrg_sample(params: PRDRGParams, seed) -> DirectedGraph:
     return DirectedGraph(n, tuple(edges))
 
 
+def make_prdrg_expected_edges(theta, g: float) -> Callable[[float], float]:
+    """Precompute the angle terms and return gamma -> expected edge count.
+
+    The per-pair count 2f + q + l is a Fourier pair sum, as in
+    make_prdrg_loglik, so each gamma costs O(M log M) after the setup.
+    """
+    theta = np.asarray(theta, dtype=float)
+    g = _check_rotation(g)
+    spectrum = _AngleSpectrum(theta)
+
+    def expected(gamma: float) -> float:
+        gamma = _check_gamma(gamma)
+
+        def per_pair(beta):
+            both, fwd, bwd = _outcome_weights(beta, gamma, g)
+            return (2.0 * both + fwd + bwd) / (1.0 + both + fwd + bwd)
+
+        return float(_pair_sum(spectrum, per_pair, gamma))
+
+    return expected
+
+
 def prdrg_expected_edges(theta, gamma: float, g: float) -> float:
     """Expected directed-edge count: sum over pairs of 2f + q + l."""
-    theta = np.asarray(theta, dtype=float)
-    iu, ju = np.triu_indices(len(theta), k=1)
-    probs = np.exp(_four_outcome_logprobs(theta[iu] - theta[ju],
-                                          _check_gamma(gamma), _check_rotation(g)))
-    return float(np.sum(2.0 * probs[0] + probs[1] + probs[2]))
+    return make_prdrg_expected_edges(theta, g)(gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import (DirectedGraph, GraphStructureError, SymmetrizedView,
-                     is_weakly_connected, symmetrize)
+                     csv_text, is_weakly_connected, symmetrize)
 
 TWO_PI = 2.0 * np.pi
 
@@ -149,11 +149,22 @@ def magnetic_algorithm(graph: DirectedGraph, g: float) -> PhaseAssignment:
     reflection ambiguity (conjugating the eigenvector, i.e. reversing the
     cycle orientation) is not resolved.
     """
+    return _magnetic_phases(_magnetic_view(graph), g)
+
+
+def _magnetic_view(graph: DirectedGraph) -> SymmetrizedView:
+    """The g-independent half of magnetic_algorithm, done once per graph
+    when several rotations are tried."""
     sym = symmetrize(graph)
     if not is_weakly_connected(graph):
         warnings.warn(
             "graph is not weakly connected; phases are only comparable "
-            "within a component", DegeneracyWarning, stacklevel=2)
+            "within a component", DegeneracyWarning, stacklevel=3)
+    return sym
+
+
+def _magnetic_phases(sym: SymmetrizedView, g: float) -> PhaseAssignment:
+    """Phase angles for rotation g from a graph's symmetrized view."""
     lap = build_magnetic_laplacian(sym, g)
     value, vec = smallest_eigenpair(lap)
     moduli = np.abs(vec)
@@ -163,7 +174,7 @@ def magnetic_algorithm(graph: DirectedGraph, g: float) -> PhaseAssignment:
         warnings.warn(
             f"{int(tiny.sum())} eigenvector component(s) have modulus below "
             f"{_TINY_COMPONENT:g}; their phase angles are set to 0",
-            DegeneracyWarning, stacklevel=2)
+            DegeneracyWarning, stacklevel=3)
     theta = np.mod(theta, TWO_PI)
     theta[theta >= TWO_PI] = 0.0
     return PhaseAssignment(theta=theta, g=float(g), smallest_eigenvalue=value)
@@ -237,10 +248,13 @@ def trophic_algorithm(graph: DirectedGraph) -> TrophicAssignment:
 
 
 def assignment_to_csv(graph: DirectedGraph, values, fmt: str = "%.12g") -> str:
-    """Serialize per-node values as ``label,value`` CSV rows."""
+    """Serialize per-node values as ``label,value`` CSV rows.
+
+    Labels are quoted only where CSV needs it (a comma, a double quote or
+    a line break); plain labels are written as they are.
+    """
     values = np.asarray(values, dtype=float)
     if values.shape != (graph.n,):
         raise ValueError(f"expected {graph.n} values, got {values.size}")
-    lines = ["label,value"]
-    lines += [f"{graph.label(i)},{fmt % values[i]}" for i in range(graph.n)]
-    return "".join(line + "\n" for line in lines)
+    return csv_text(["label", "value"],
+                    ((graph.label(i), fmt % values[i]) for i in range(graph.n)))

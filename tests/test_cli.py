@@ -1,3 +1,4 @@
+import csv
 import math
 from pathlib import Path
 
@@ -33,6 +34,7 @@ class TestCompareCommand:
         report = (tmp_path / "report.txt").read_text()
         assert "verdict = periodic" in report
         assert "best_g = 1/3" in report
+        assert report.count("gamma_at_lower_bound = false\n") == 2
 
     def test_phases_and_levels_cover_component(self, tmp_path):
         run("compare", "--input", FOOD_WEB, "--out-dir", tmp_path)
@@ -107,6 +109,47 @@ class TestCompareCommand:
         for name in ("report.txt", "summary.csv", "phases.csv", "levels.csv",
                      "likelihood_curve_prdrg.csv", "likelihood_curve_trophic.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+class TestCsvLabels:
+    """Labels holding a comma or a double quote survive every output file."""
+
+    ODD = 'a,1 b\nb "q\n"q a,1\n'
+
+    @staticmethod
+    def read(path):
+        with open(path, newline="", encoding="utf-8") as handle:
+            return list(csv.reader(handle))
+
+    def test_compare_then_curve_round_trip(self, tmp_path):
+        edges = tmp_path / "odd,name.edges"
+        edges.write_text(self.ODD, encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("compare", "--input", edges, "--out-dir", out) == 0
+        summary = self.read(out / "summary.csv")
+        assert [len(row) for row in summary] == [5, 5]
+        assert summary[1][0] == "odd,name"
+        for name in ("phases.csv", "levels.csv"):
+            rows = self.read(out / name)
+            assert rows[0] == ["label", "value"]
+            assert sorted(row[0] for row in rows[1:]) == ['"q', "a,1", "b"]
+            assert all(len(row) == 2 for row in rows)
+        curve = tmp_path / "curve.csv"
+        assert run("curve", "--input", edges, "--model", "prdrg", "--g", "1/3",
+                   "--attributes", out / "phases.csv", "--out", curve) == 0
+        assert len(self.read(curve)) == 65
+        assert run("reorder", "--input", edges, "--method", "trophic",
+                   "--out-dir", out) == 0
+        rows = self.read(out / "ordering.csv")
+        assert sorted(row[0] for row in rows[1:]) == ['"q', "a,1", "b"]
+        assert sorted(row[1] for row in rows[1:]) == ["0", "1", "2"]
+
+    def test_plain_labels_are_not_quoted(self):
+        from dirlap.spectral import assignment_to_csv
+        graph = parse_edge_list(FOOD_WEB.read_text()).graph
+        values = np.linspace(0.0, 1.0, graph.n)
+        assert assignment_to_csv(graph, values) == "label,value\n" + "".join(
+            f"{graph.label(i)},{values[i]:.12g}\n" for i in range(graph.n))
 
 
 class TestReorderCommand:

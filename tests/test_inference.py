@@ -5,8 +5,9 @@ from dirlap import (DirectedGraph, NumericalError, PRDRGParams, TrophicParams,
                     compare_models, fit_gamma_density, fit_gamma_mle,
                     gen_clustered_angles, gen_trophic_levels,
                     magnetic_algorithm, prdrg_expected_edges, prdrg_loglik,
-                    prdrg_sample, select_g, trophic_expected_edges,
-                    trophic_sample)
+                    prdrg_sample, select_g, trophic_algorithm,
+                    trophic_expected_edges, trophic_sample)
+from helpers import random_graph
 
 
 class TestFitGammaMle:
@@ -20,6 +21,24 @@ class TestFitGammaMle:
         assert fit.at_upper_bound
         assert fit.gamma == 50.0
         assert fit.loglik == 50.0
+
+    def test_lower_bound_flag_on_decreasing_objective(self):
+        fit = fit_gamma_mle(lambda g: -g, gamma_min=0.01)
+        assert fit.at_lower_bound and not fit.at_upper_bound
+        assert fit.gamma == 0.01
+        assert not fit_gamma_mle(lambda g: g).at_lower_bound
+
+    def test_level_fit_on_structureless_graph_stops_at_lower_bound(self):
+        # a dense directed Erdos-Renyi graph has no level structure: the
+        # level-model likelihood falls from the smallest allowed gamma on
+        from dirlap.models import make_trophic_loglik
+        graph = random_graph(np.random.default_rng(3), 120, 0.5)
+        levels = trophic_algorithm(graph)
+        fit = fit_gamma_mle(make_trophic_loglik(graph, levels.h), gamma_min=0.01)
+        assert fit.gamma == 0.01
+        assert fit.at_lower_bound and not fit.at_upper_bound
+        report = compare_models(graph, gamma_min=0.01)
+        assert report.trophic_fit.at_lower_bound
 
     def test_non_finite_objective_rejected(self):
         with pytest.raises(NumericalError):
@@ -106,6 +125,17 @@ class TestSelectG:
             lambda g: prdrg_loglik(graph, PRDRGParams(direct.theta, g, 0.25)))
         assert result.best.loglik == pytest.approx(fit.loglik, rel=1e-12)
         del rng
+
+    def test_symmetrizes_once_for_all_candidates(self, monkeypatch):
+        import dirlap.spectral as spectral
+        calls = []
+        original = spectral.symmetrize
+        monkeypatch.setattr(spectral, "symmetrize",
+                            lambda graph: calls.append(graph) or original(graph))
+        graph = prdrg_sample(PRDRGParams(gen_clustered_angles(3, 10, 0.1, 1),
+                                         3.0, 1 / 3), 2)
+        select_g(graph, [1 / 2, 1 / 3, 1 / 4, 1 / 5, 1 / 6])
+        assert len(calls) == 1
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):

@@ -1,19 +1,28 @@
 import itertools
 import math
+import time
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from dirlap import (DirectedGraph, KernelModel, PRDRGParams, TrophicParams,
-                    frustration, gen_clustered_angles, gen_trophic_levels,
-                    kernel_loglik, prdrg_expected_edges, prdrg_loglik,
+from dirlap import (DirectedGraph, KernelModel, NumericalError, PRDRGParams,
+                    TrophicParams, frustration, gen_clustered_angles,
+                    gen_trophic_levels, kernel_loglik, magnetic_algorithm,
+                    parse_edge_list, prdrg_expected_edges, prdrg_loglik,
                     prdrg_pair_probs, prdrg_sample, symmetrize,
                     trophic_edge_prob, trophic_expected_edges, trophic_loglik,
                     trophic_sample, weighted_trophic_logdensity)
-from helpers import random_graph
+from dirlap.models import make_prdrg_loglik
+from helpers import (exact_prdrg_expected_edges, exact_prdrg_loglik,
+                     random_graph)
 
 TWO_PI = 2 * np.pi
+FOOD_WEB = Path(__file__).parent / "fixtures" / "food_web_scc.edges"
+# the fit's default 32-point grid, plus a rate that needs more Fourier modes
+ORACLE_GAMMAS = [*np.geomspace(1e-3, 50.0, 32), 1000.0]
 
 
 def naive_prdrg_loglik(graph, theta, gamma, g):
@@ -127,6 +136,100 @@ class TestPrdrgLoglik:
         graph = DirectedGraph(2, ((0, 1),), weights=(0.5,))
         with pytest.raises(ValueError):
             prdrg_loglik(graph, PRDRGParams(np.zeros(2), 1.0, 0.25))
+
+
+def assert_pair_sums_match_oracle(graph, theta, g, gammas=ORACLE_GAMMAS):
+    # the Fourier sum's rounding error is absolute (about eps * n^2 times the
+    # largest pair term), so a sum that is tiny next to that, as for one pair
+    # at a large gamma, gets a small absolute floor
+    loglik = make_prdrg_loglik(graph, theta, g)
+    floor = 1e-12 * graph.n
+    for gamma in gammas:
+        exact = exact_prdrg_loglik(graph, theta, gamma, g)
+        assert loglik(gamma) == pytest.approx(exact, rel=1e-12, abs=floor)
+        exact = exact_prdrg_expected_edges(theta, gamma, g)
+        assert prdrg_expected_edges(theta, gamma, g) == pytest.approx(
+            exact, rel=1e-12, abs=floor)
+
+
+class TestFourierPairSums:
+    """The Fourier-space pair sums against the O(n^2) pair-by-pair oracle."""
+
+    @pytest.mark.parametrize("g", [1 / 2, 1 / 3, 1 / 5])
+    def test_food_web_matches_oracle(self, g):
+        graph = parse_edge_list(FOOD_WEB.read_text(encoding="utf-8")).graph
+        assert_pair_sums_match_oracle(graph, magnetic_algorithm(graph, g).theta, g)
+
+    @pytest.mark.parametrize("clusters, size, g, seed", [
+        (2, 60, 1 / 2, 1), (3, 50, 1 / 3, 2), (5, 60, 1 / 5, 3), (6, 20, 1 / 6, 4)])
+    def test_planted_graphs_match_oracle(self, clusters, size, g, seed):
+        planted = gen_clustered_angles(clusters, size, 0.2, seed)
+        graph = prdrg_sample(PRDRGParams(planted, 5.0, g), seed + 100)
+        assert_pair_sums_match_oracle(graph, planted, g)
+        assert_pair_sums_match_oracle(graph, magnetic_algorithm(graph, g).theta, g)
+
+    def test_two_nodes(self):
+        rng = np.random.default_rng(40)
+        for edges in ((), ((0, 1),), ((1, 0),), ((0, 1), (1, 0))):
+            assert_pair_sums_match_oracle(DirectedGraph(2, edges),
+                                          rng.uniform(0, TWO_PI, 2), 0.3)
+
+    def test_edgeless_graph(self):
+        theta = np.random.default_rng(41).uniform(0, TWO_PI, 25)
+        assert_pair_sums_match_oracle(DirectedGraph(25, ()), theta, 0.25)
+
+    def test_all_equal_angles(self):
+        graph = random_graph(np.random.default_rng(42), 40, 0.3)
+        assert_pair_sums_match_oracle(graph, np.full(40, 1.7), 0.2)
+
+    def test_single_node_has_no_pairs(self):
+        loglik = make_prdrg_loglik(DirectedGraph(1, ()), [0.4], 0.2)
+        assert loglik(3.0) == pytest.approx(0.0, abs=1e-12)
+        assert prdrg_expected_edges([0.4], 3.0, 0.2) == pytest.approx(0.0, abs=1e-12)
+
+    def test_relabelling_nodes_leaves_sums_unchanged(self):
+        rng = np.random.default_rng(43)
+        n = 60
+        graph = random_graph(rng, n, 0.2)
+        theta = rng.uniform(0, TWO_PI, n)
+        perm = rng.permutation(n)
+        moved = DirectedGraph(n, tuple((int(perm[i]), int(perm[j]))
+                                       for i, j in graph.edges))
+        moved_theta = np.empty(n)
+        moved_theta[perm] = theta
+        for gamma in (0.01, 1.0, 5.0, 50.0):
+            assert make_prdrg_loglik(moved, moved_theta, 0.2)(gamma) == \
+                pytest.approx(make_prdrg_loglik(graph, theta, 0.2)(gamma), rel=1e-12)
+            assert prdrg_expected_edges(moved_theta, gamma, 0.2) == \
+                pytest.approx(prdrg_expected_edges(theta, gamma, 0.2), rel=1e-12)
+
+    def test_value_independent_of_probe_order(self):
+        rng = np.random.default_rng(44)
+        graph = random_graph(rng, 50, 0.3)
+        theta = rng.uniform(0, TWO_PI, 50)
+        fresh = make_prdrg_loglik(graph, theta, 0.25)(5.0)
+        probed = make_prdrg_loglik(graph, theta, 0.25)
+        probed(1000.0)          # builds more modes first
+        assert probed(5.0) == fresh
+
+    def test_gamma_past_mode_cap_fails_fast(self):
+        rng = np.random.default_rng(45)
+        graph = random_graph(rng, 200, 0.3)
+        theta = rng.uniform(0, TWO_PI, 200)
+        loglik = make_prdrg_loglik(graph, theta, 0.2)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(NumericalError, match="Fourier modes"):
+                loglik(1e9)
+            with pytest.raises(NumericalError, match="Fourier modes"):
+                prdrg_expected_edges(theta, 1e9, 0.2)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 2.0
+        assert peak < 16 * 2**20
 
 
 class TestPrdrgSampler:
