@@ -240,13 +240,8 @@ def cmd_compare(args) -> int:
                     EXIT_INPUT)
     sub, _, used = _select_component(parsed.graph, cfg.component)
     _require_analyzable(sub)
-    try:
-        report = compare_models(sub, [v for _, v in cfg.g_candidates],
-                                cfg.gamma_min, cfg.gamma_max)
-    except GraphStructureError as exc:
-        raise _fail("analyze", str(exc), EXIT_DEGENERATE) from exc
-    except NumericalError as exc:
-        raise _fail("analyze", str(exc), EXIT_NUMERICAL) from exc
+    report = compare_models(sub, [v for _, v in cfg.g_candidates],
+                            cfg.gamma_min, cfg.gamma_max)
     dataset = cfg.input_path.stem
     out = cfg.out_dir
     _write(out / "report.txt",
@@ -285,26 +280,21 @@ def cmd_reorder(args) -> int:
     parsed = _load_graph(cfg.input_path, cfg.weighted)
     sub, _, _ = _select_component(parsed.graph, cfg.component)
     _require_analyzable(sub)
-    try:
-        if args.method == "magnetic":
-            if sub.is_weighted:
-                raise _fail("input", "magnetic reordering requires an "
-                            "unweighted edge list", EXIT_INPUT)
-            if args.g is not None:
-                g = _parse_single_g(args.g)
-                score = magnetic_algorithm(sub, g).theta
-            else:
-                selection = select_g(sub, [v for _, v in cfg.g_candidates],
-                                     cfg.gamma_min, cfg.gamma_max)
-                print(f"notice: rotation chosen by likelihood: "
-                      f"g = {_g_label(cfg, selection.best.g)}", file=sys.stderr)
-                score = selection.assignment.theta
+    if args.method == "magnetic":
+        if sub.is_weighted:
+            raise _fail("input", "magnetic reordering requires an "
+                        "unweighted edge list", EXIT_INPUT)
+        if args.g is not None:
+            g = _parse_single_g(args.g)
+            score = magnetic_algorithm(sub, g).theta
         else:
-            score = trophic_algorithm(sub).h
-    except GraphStructureError as exc:
-        raise _fail("analyze", str(exc), EXIT_DEGENERATE) from exc
-    except NumericalError as exc:
-        raise _fail("analyze", str(exc), EXIT_NUMERICAL) from exc
+            selection = select_g(sub, [v for _, v in cfg.g_candidates],
+                                 cfg.gamma_min, cfg.gamma_max)
+            print(f"notice: rotation chosen by likelihood: "
+                  f"g = {_g_label(cfg, selection.best.g)}", file=sys.stderr)
+            score = selection.assignment.theta
+    else:
+        score = trophic_algorithm(sub).h
     perm = apply_ordering(sub, score)
     _write(cfg.out_dir / "ordering.csv", serialize_ordering(sub, perm))
     _write(cfg.out_dir / "reordered_adjacency.csv", _reordered_triples(sub, perm))
@@ -394,39 +384,37 @@ def cmd_curve(args) -> int:
     graph = parsed.graph
     attributes = _read_attributes(Path(args.attributes), graph)
     density_expected = None
-    try:
-        if args.model == "prdrg":
-            if args.g is None:
-                raise _fail("arguments", "--g is required for the prdrg curve",
-                            EXIT_INPUT)
-            if graph.is_weighted:
-                raise _fail("input", "the prdrg curve requires an unweighted "
-                            "edge list", EXIT_INPUT)
-            g = _parse_single_g(args.g)
-            loglik = make_prdrg_loglik(graph, attributes, g)
-            density_expected = make_prdrg_expected_edges(attributes, g)
-        elif graph.is_weighted:
-            loglik = lambda gamma: weighted_trophic_logdensity(
-                graph, TrophicParams(attributes, gamma))
-        else:
-            loglik = make_trophic_loglik(graph, attributes)
-            density_expected = lambda gamma: trophic_expected_edges(attributes, gamma)
-        if args.grid_points < 1:
-            raise _fail("arguments", "grid-points must be >= 1", EXIT_INPUT)
-        grid = np.geomspace(cfg.gamma_min, cfg.gamma_max, args.grid_points)
-        values = [loglik(float(x)) for x in grid]
-        mle = fit_gamma_mle(loglik, cfg.gamma_min, cfg.gamma_max)
-        density_gamma = None
-        if density_expected is not None:
-            try:
-                density_gamma = fit_gamma_density(density_expected,
-                                                  graph.edge_count,
-                                                  gamma_max=cfg.gamma_max)
-            except ValueError as exc:
-                print(f"notice: no density-matching estimate: {exc}",
-                      file=sys.stderr)
-    except NumericalError as exc:
-        raise _fail("analyze", str(exc), EXIT_NUMERICAL) from exc
+    if args.model == "prdrg":
+        if args.g is None:
+            raise _fail("arguments", "--g is required for the prdrg curve",
+                        EXIT_INPUT)
+        if graph.is_weighted:
+            raise _fail("input", "the prdrg curve requires an unweighted "
+                        "edge list", EXIT_INPUT)
+        g = _parse_single_g(args.g)
+        loglik = make_prdrg_loglik(graph, attributes, g)
+        density_expected = make_prdrg_expected_edges(attributes, g)
+    elif graph.is_weighted:
+        loglik = lambda gamma: weighted_trophic_logdensity(
+            graph, TrophicParams(attributes, gamma))
+    else:
+        loglik = make_trophic_loglik(graph, attributes)
+        density_expected = lambda gamma: trophic_expected_edges(attributes, gamma)
+    if args.grid_points < 1:
+        raise _fail("arguments", "grid-points must be >= 1", EXIT_INPUT)
+    # the table is the fit's own grid, so no gamma is probed twice
+    mle = fit_gamma_mle(loglik, cfg.gamma_min, cfg.gamma_max,
+                        grid_points=args.grid_points)
+    grid, values = mle.grid, mle.grid_loglik
+    density_gamma = None
+    if density_expected is not None:
+        try:
+            density_gamma = fit_gamma_density(density_expected,
+                                              graph.edge_count,
+                                              gamma_max=cfg.gamma_max)
+        except ValueError as exc:
+            print(f"notice: no density-matching estimate: {exc}",
+                  file=sys.stderr)
     mle_mark = int(np.argmin(np.abs(np.log(grid) - np.log(mle.gamma))))
     density_mark = (int(np.argmin(np.abs(np.log(grid) - np.log(density_gamma))))
                     if density_gamma is not None else None)
@@ -507,6 +495,11 @@ def main(argv=None) -> int:
     except _StageError as exc:
         print(f"error [{exc.stage}]: {exc}", file=sys.stderr)
         return exc.code
+    except (GraphStructureError, NumericalError) as exc:
+        # raised inside the library, after the input stages
+        print(f"error [analyze]: {exc}", file=sys.stderr)
+        return (EXIT_DEGENERATE if isinstance(exc, GraphStructureError)
+                else EXIT_NUMERICAL)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
 

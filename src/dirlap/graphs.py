@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -34,7 +36,8 @@ class DirectedGraph:
     self-loops and no duplicates.  ``weights``, when present, is aligned
     with ``edges`` and every value lies strictly in (0, 1).  ``labels``
     preserves the node names from the source file so reports can show
-    them; computation always runs on the dense indices.
+    them; computation always runs on the dense indices, read as arrays
+    from ``edge_index``.
     """
 
     n: int
@@ -77,6 +80,14 @@ class DirectedGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
+    @functools.cached_property
+    def edge_index(self) -> np.ndarray:
+        """Read-only (m, 2) int64 array of ``edges``, built on first use."""
+        idx = np.fromiter(itertools.chain.from_iterable(self.edges), np.int64,
+                          2 * len(self.edges)).reshape(-1, 2)
+        idx.setflags(write=False)
+        return idx
+
     @property
     def is_weighted(self) -> bool:
         return self.weights is not None
@@ -87,10 +98,8 @@ class DirectedGraph:
     def adjacency(self) -> np.ndarray:
         """Dense adjacency matrix; entries are weights when present, else 0/1."""
         a = np.zeros((self.n, self.n))
-        if self.edges:
-            idx = np.array(self.edges)
-            vals = np.array(self.weights) if self.is_weighted else 1.0
-            a[idx[:, 0], idx[:, 1]] = vals
+        idx = self.edge_index
+        a[idx[:, 0], idx[:, 1]] = np.array(self.weights) if self.is_weighted else 1.0
         return a
 
 
@@ -172,9 +181,9 @@ def serialize_edge_list(graph: DirectedGraph) -> str:
 
 
 def _edge_pattern(graph: DirectedGraph) -> csr_matrix:
-    rows = [i for i, _ in graph.edges]
-    cols = [j for _, j in graph.edges]
-    return csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(graph.n, graph.n))
+    idx = graph.edge_index
+    return csr_matrix((np.ones(len(idx)), (idx[:, 0], idx[:, 1])),
+                      shape=(graph.n, graph.n))
 
 
 def _induced_subgraph(graph: DirectedGraph,

@@ -99,19 +99,20 @@ def fit_gamma_mle(loglik: Callable[[float], float], gamma_min: float = GAMMA_MIN
 
     A coarse logarithmic grid locates the bracketing triple, then
     golden-section refinement pins the maximizer to absolute tolerance
-    ``tol``.  Raises NumericalError if the objective is non-finite at any
-    probe point.
+    ``tol``; a best grid point with none above it is bracketed by
+    gamma_max.  Raises NumericalError if the objective is non-finite at
+    any probe point.
     """
     if not (0 < gamma_min < gamma_max):
         raise ValueError("need 0 < gamma_min < gamma_max")
     grid = np.geomspace(gamma_min, gamma_max, grid_points)
     values = np.array([_probe(loglik, float(x)) for x in grid])
     best = int(np.argmax(values))
-    if best == len(grid) - 1:
+    if len(grid) > 1 and best == len(grid) - 1:
         return GammaFit(float(grid[-1]), float(values[-1]), True, False,
                         grid, values)
-    lo = float(grid[best - 1]) if best > 0 else float(grid[0])
-    hi = float(grid[best + 1])
+    lo = float(grid[max(best - 1, 0)])
+    hi = float(grid[best + 1]) if best + 1 < len(grid) else gamma_max
     gamma, value = _golden_max(loglik, lo, hi, tol)
     if values[best] > value:
         gamma, value = float(grid[best]), float(values[best])
@@ -254,6 +255,13 @@ def _density_estimate(expected: Callable[[float], float], observed: float,
         return None
 
 
+def _model_fit(model: str, fit: GammaFit, gamma_density: float | None,
+               g: float | None) -> ModelFit:
+    return ModelFit(model, fit.gamma, fit.loglik, gamma_density, g,
+                    fit.at_upper_bound, fit.at_lower_bound, fit.grid,
+                    fit.grid_loglik)
+
+
 def compare_models(graph: DirectedGraph,
                    candidates: Sequence[float] = DEFAULT_G_CANDIDATES,
                    gamma_min: float = GAMMA_MIN,
@@ -271,34 +279,16 @@ def compare_models(graph: DirectedGraph,
     prdrg_density = _density_estimate(
         make_prdrg_expected_edges(selection.assignment.theta, selection.best.g),
         graph.edge_count, gamma_max)
-    prdrg_fit = ModelFit(
-        model="directed-pRDRG",
-        gamma_mle=selection.best.gamma_mle,
-        loglik_at_mle=selection.best.loglik,
-        gamma_density=prdrg_density,
-        g=selection.best.g,
-        at_upper_bound=selection.best.at_upper_bound,
-        at_lower_bound=selection.best.at_lower_bound,
-        curve_gamma=selection.gamma_fit.grid,
-        curve_loglik=selection.gamma_fit.grid_loglik,
-    )
+    prdrg_fit = _model_fit("directed-pRDRG", selection.gamma_fit,
+                           prdrg_density, selection.best.g)
     levels = trophic_algorithm(graph)
     trophic_gamma_fit = fit_gamma_mle(make_trophic_loglik(graph, levels.h),
                                       gamma_min, gamma_max)
     trophic_density = _density_estimate(
         lambda gamma: trophic_expected_edges(levels.h, gamma),
         graph.edge_count, gamma_max)
-    trophic_fit = ModelFit(
-        model="trophic-RDRG",
-        gamma_mle=trophic_gamma_fit.gamma,
-        loglik_at_mle=trophic_gamma_fit.loglik,
-        gamma_density=trophic_density,
-        g=None,
-        at_upper_bound=trophic_gamma_fit.at_upper_bound,
-        at_lower_bound=trophic_gamma_fit.at_lower_bound,
-        curve_gamma=trophic_gamma_fit.grid,
-        curve_loglik=trophic_gamma_fit.grid_loglik,
-    )
+    trophic_fit = _model_fit("trophic-RDRG", trophic_gamma_fit,
+                             trophic_density, None)
     log_ratio = prdrg_fit.loglik_at_mle - trophic_fit.loglik_at_mle
     return ComparisonReport(
         per_g=selection.fits,

@@ -22,9 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .graphs import DirectedGraph
-from .spectral import NumericalError
-
-TWO_PI = 2.0 * np.pi
+from .spectral import TWO_PI, NumericalError, _check_rotation
 
 
 def _check_gamma(gamma: float) -> float:
@@ -32,13 +30,6 @@ def _check_gamma(gamma: float) -> float:
     if gamma < 0.0 or not np.isfinite(gamma):
         raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
     return gamma
-
-
-def _check_rotation(g: float) -> float:
-    g = float(g)
-    if not 0.0 <= g <= 0.5:
-        raise ValueError(f"rotation parameter g={g} outside [0, 1/2]")
-    return g
 
 
 @dataclass(frozen=True)
@@ -220,8 +211,7 @@ def _observed_excess(graph: DirectedGraph, theta: np.ndarray, g: float) -> float
     """
     if not graph.edges:
         return 0.0
-    idx = np.array(graph.edges, dtype=np.int64)
-    src, dst = idx[:, 0], idx[:, 1]
+    src, dst = graph.edge_index.T
     key = src * graph.n + dst           # ascending: edges are sorted
     rev = dst * graph.n + src
     at = np.minimum(np.searchsorted(key, rev), len(key) - 1)
@@ -317,7 +307,35 @@ def prdrg_expected_edges(theta, gamma: float, g: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# independent-edge level model
+# independent-edge models: P(edge i -> j) = 1 / (1 + exp(gamma * penalty_ij))
+
+
+def _edge_prob(x):
+    """1 / (1 + exp(x)) for x >= 0, as e / (1 + e) with e = exp(-x)."""
+    e = np.exp(-x)
+    return e / (1.0 + e)
+
+
+def _make_bernoulli_loglik(graph: DirectedGraph,
+                           penalty: np.ndarray) -> Callable[[float], float]:
+    """Return gamma -> sum over ordered pairs i != j of log P(A_ij).
+
+    P(A_ij = 1) = 1 / (1 + exp(gamma * penalty_ij)) for the n x n
+    nonnegative ``penalty``; the log-sigmoid stays in the log domain.
+    """
+    n = graph.n
+    adj = np.zeros((n, n), dtype=bool)
+    adj[graph.edge_index[:, 0], graph.edge_index[:, 1]] = True
+    off = ~np.eye(n, dtype=bool)
+    penalty, present = penalty[off], adj[off]
+
+    def loglik(gamma: float) -> float:
+        x = _check_gamma(gamma) * penalty
+        log_absent = -np.log1p(np.exp(-x))
+        log_present = log_absent - x
+        return float(np.sum(np.where(present, log_present, log_absent)))
+
+    return loglik
 
 
 def trophic_edge_prob(h_i, h_j, gamma: float):
@@ -328,25 +346,8 @@ def trophic_edge_prob(h_i, h_j, gamma: float):
     """
     x = _check_gamma(gamma) * (np.asarray(h_j, dtype=float)
                                - np.asarray(h_i, dtype=float) - 1.0) ** 2
-    e = np.exp(-x)
-    out = e / (1.0 + e)
+    out = _edge_prob(x)
     return float(out) if np.isscalar(h_i) and np.isscalar(h_j) else out
-
-
-def _level_penalties(graph: DirectedGraph, h):
-    """Off-diagonal (h_j - h_i - 1)^2 values and the edge indicator,
-    flattened in row-major order."""
-    h = np.asarray(h, dtype=float)
-    if h.shape != (graph.n,):
-        raise ValueError(f"h has length {h.size}, expected {graph.n}")
-    n = graph.n
-    adj = np.zeros((n, n), dtype=bool)
-    if graph.edges:
-        idx = np.array(graph.edges)
-        adj[idx[:, 0], idx[:, 1]] = True
-    penalty = (h[None, :] - h[:, None] - 1.0) ** 2
-    off = ~np.eye(n, dtype=bool)
-    return penalty[off], adj[off]
 
 
 def make_trophic_loglik(graph: DirectedGraph, h) -> Callable[[float], float]:
@@ -354,15 +355,10 @@ def make_trophic_loglik(graph: DirectedGraph, h) -> Callable[[float], float]:
     if graph.is_weighted:
         raise ValueError("the Bernoulli level model is defined for "
                          "unweighted graphs; see weighted_trophic_logdensity")
-    penalties, present = _level_penalties(graph, h)
-
-    def loglik(gamma: float) -> float:
-        x = _check_gamma(gamma) * penalties
-        log_absent = -np.log1p(np.exp(-x))
-        log_present = log_absent - x
-        return float(np.sum(np.where(present, log_present, log_absent)))
-
-    return loglik
+    h = np.asarray(h, dtype=float)
+    if h.shape != (graph.n,):
+        raise ValueError(f"h has length {h.size}, expected {graph.n}")
+    return _make_bernoulli_loglik(graph, (h[None, :] - h[:, None] - 1.0) ** 2)
 
 
 def trophic_loglik(graph: DirectedGraph, params: TrophicParams) -> float:
@@ -374,9 +370,7 @@ def trophic_sample(params: TrophicParams, seed) -> DirectedGraph:
     """Draw a graph with one independent Bernoulli edge per ordered pair."""
     h = params.h
     n = len(h)
-    x = params.gamma * (h[None, :] - h[:, None] - 1.0) ** 2
-    e = np.exp(-x)
-    prob = e / (1.0 + e)
+    prob = _edge_prob(params.gamma * (h[None, :] - h[:, None] - 1.0) ** 2)
     u = np.random.default_rng(seed).random((n, n))
     adj = (u < prob) & ~np.eye(n, dtype=bool)
     edges = tuple((int(i), int(j)) for i, j in np.argwhere(adj))
@@ -386,9 +380,7 @@ def trophic_sample(params: TrophicParams, seed) -> DirectedGraph:
 def trophic_expected_edges(h, gamma: float) -> float:
     """Expected directed-edge count: sum of edge probabilities over i != j."""
     h = np.asarray(h, dtype=float)
-    x = _check_gamma(gamma) * (h[None, :] - h[:, None] - 1.0) ** 2
-    e = np.exp(-x)
-    prob = e / (1.0 + e)
+    prob = _edge_prob(_check_gamma(gamma) * (h[None, :] - h[:, None] - 1.0) ** 2)
     np.fill_diagonal(prob, 0.0)
     return float(prob.sum())
 
@@ -419,9 +411,7 @@ def weighted_trophic_logdensity(graph: DirectedGraph, params: TrophicParams) -> 
     h = np.asarray(params.h, dtype=float)
     if h.shape != (graph.n,):
         raise ValueError(f"h has length {h.size}, expected {graph.n}")
-    if not graph.edges:
-        return 0.0
-    idx = np.array(graph.edges)
+    idx = graph.edge_index
     w = np.array(graph.weights)
     penalty = (h[idx[:, 1]] - h[idx[:, 0]] - 1.0) ** 2
     x = params.gamma * penalty
@@ -454,15 +444,7 @@ def kernel_loglik(graph: DirectedGraph, model: KernelModel) -> float:
             if value < 0.0:
                 raise ValueError(f"kernel is negative ({value}) on pair ({i}, {j})")
             penalty[i, j] = value
-    adj = np.zeros((n, n), dtype=bool)
-    if graph.edges:
-        idx = np.array(graph.edges)
-        adj[idx[:, 0], idx[:, 1]] = True
-    off = ~np.eye(n, dtype=bool)
-    x = model.gamma * penalty[off]
-    log_absent = -np.log1p(np.exp(-x))
-    log_present = log_absent - x
-    return float(np.sum(np.where(adj[off], log_present, log_absent)))
+    return _make_bernoulli_loglik(graph, penalty)(model.gamma)
 
 
 # ---------------------------------------------------------------------------

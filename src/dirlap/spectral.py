@@ -207,7 +207,7 @@ def trophic_incoherence(graph: DirectedGraph, h) -> float:
         raise ValueError(f"h has length {h.size}, expected {graph.n}")
     if not graph.edges:
         raise GraphStructureError("incoherence is undefined on an edgeless graph")
-    idx = np.array(graph.edges)
+    idx = graph.edge_index
     w = np.array(graph.weights) if graph.is_weighted else np.ones(len(idx))
     dev = h[idx[:, 1]] - h[idx[:, 0]] - 1.0
     return float(np.sum(w * dev**2) / np.sum(w))

@@ -96,6 +96,14 @@ class TestCompareCommand:
         assert "component_used = wcc" in report
         assert "verdict = linear" in report
 
+    def test_numerical_failure_exits_three(self, tmp_path, capsys):
+        # the pair-model sums cannot resolve gamma this large
+        code = run("compare", "--input", FOOD_WEB, "--gamma-max", 1e9,
+                   "--out-dir", tmp_path)
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error [analyze]:")
+
     def test_bad_flag_exits_one(self, tmp_path):
         assert run("compare", "--input", FOOD_WEB, "--out-dir", tmp_path,
                    "--component", "bogus") == 1
@@ -308,6 +316,39 @@ class TestCurveCommand:
         assert run("curve", "--input", graph_file, "--model", "prdrg",
                    "--attributes", attrs, "--g", "1/3", "--out", out) == 0
         assert len(out.read_text().splitlines()) == 65
+
+    def test_prdrg_numerical_failure_exits_three(self, tmp_path, capsys):
+        graph_file, attrs = self._generated(tmp_path, model="prdrg")
+        capsys.readouterr()
+        code = run("curve", "--input", graph_file, "--model", "prdrg",
+                   "--attributes", attrs, "--g", "1/3", "--gamma-max", 1e9,
+                   "--out", tmp_path / "c.csv")
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error [analyze]:")
+
+    def test_no_gamma_probed_twice(self, tmp_path, monkeypatch):
+        import dirlap.cli as cli
+        probed = []
+        factory = cli.make_prdrg_loglik
+
+        def counting_factory(*args):
+            loglik = factory(*args)
+
+            def counted(gamma):
+                probed.append(float(gamma))
+                return loglik(gamma)
+
+            return counted
+
+        monkeypatch.setattr(cli, "make_prdrg_loglik", counting_factory)
+        graph_file, attrs = self._generated(tmp_path, model="prdrg")
+        out = tmp_path / "c.csv"
+        assert run("curve", "--input", graph_file, "--model", "prdrg",
+                   "--attributes", attrs, "--g", "1/3", "--out", out) == 0
+        assert len(out.read_text().splitlines()) == 65
+        assert len(probed) > 64
+        assert len(set(probed)) == len(probed)
 
     def test_attribute_length_mismatch(self, tmp_path):
         graph_file, _ = self._generated(tmp_path)

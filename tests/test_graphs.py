@@ -82,6 +82,21 @@ class TestDirectedGraphInvariants:
         assert graph.weights == (0.1, 0.9)
 
 
+class TestEdgeIndex:
+    def test_matches_edges_and_is_read_only(self):
+        graph = random_graph(np.random.default_rng(5), 9, 0.3)
+        idx = graph.edge_index
+        assert idx.dtype == np.int64 and idx.shape == (graph.edge_count, 2)
+        assert np.array_equal(idx, np.array(graph.edges))
+        assert graph.edge_index is idx
+        with pytest.raises(ValueError):
+            idx[0, 0] = 1
+
+    def test_edgeless_graph(self):
+        idx = DirectedGraph(3, ()).edge_index
+        assert idx.shape == (0, 2) and idx.dtype == np.int64
+
+
 class TestComponents:
     def test_scc_drops_pendant(self):
         graph = DirectedGraph(4, ((0, 1), (1, 2), (2, 0), (2, 3)))

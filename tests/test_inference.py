@@ -40,6 +40,12 @@ class TestFitGammaMle:
         report = compare_models(graph, gamma_min=0.01)
         assert report.trophic_fit.at_lower_bound
 
+    def test_single_point_grid_brackets_with_gamma_max(self):
+        # the one grid point is gamma_min; the maximizer lies above it
+        fit = fit_gamma_mle(lambda g: -(g - 2.0) ** 2, grid_points=1)
+        assert abs(fit.gamma - 2.0) <= 1e-5
+        assert not fit.at_upper_bound and not fit.at_lower_bound
+
     def test_non_finite_objective_rejected(self):
         with pytest.raises(NumericalError):
             fit_gamma_mle(lambda g: float("nan"))

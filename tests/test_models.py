@@ -319,8 +319,8 @@ class TestTrophicLoglik:
 
     def test_matches_naive_enumeration(self):
         rng = np.random.default_rng(14)
-        for _ in range(20):
-            graph = random_graph(rng, 4, 0.4)
+        for k in range(21):
+            graph = random_graph(rng, 4, 0.4) if k < 20 else DirectedGraph(4, ())
             h = rng.uniform(0, 4, 4)
             gamma = rng.uniform(0, 5)
             ours = trophic_loglik(graph, TrophicParams(h, gamma))
@@ -355,6 +355,10 @@ class TestWeightedDensity:
         value = weighted_trophic_logdensity(
             graph, TrophicParams(np.array([0.0, 1.0]), 4.0))
         assert value == 0.0
+        # no edges: pairs without an edge contribute nothing
+        edgeless = DirectedGraph(2, (), weights=())
+        assert weighted_trophic_logdensity(
+            edgeless, TrophicParams(np.array([0.0, 3.0]), 4.0)) == 0.0
 
     def test_density_integrates_to_one(self):
         rng = np.random.default_rng(16)
@@ -402,19 +406,19 @@ class TestKernelLoglik:
 
     def test_euclidean_kernel_matches_enumeration(self):
         rng = np.random.default_rng(22)
-        graph = random_graph(rng, 5, 0.4)
         attrs = rng.standard_normal((5, 2))
         gamma = 0.8
         model = KernelModel(attrs, lambda x, y: float(np.sum((x - y) ** 2)), gamma)
-        a = graph.adjacency()
-        oracle = 0.0
-        for i in range(5):
-            for j in range(5):
-                if i == j:
-                    continue
-                f = 1.0 / (1.0 + math.exp(gamma * np.sum((attrs[i] - attrs[j]) ** 2)))
-                oracle += math.log(f) if a[i, j] else math.log(1 - f)
-        assert kernel_loglik(graph, model) == pytest.approx(oracle, rel=1e-10)
+        for graph in (random_graph(rng, 5, 0.4), DirectedGraph(5, ())):
+            a = graph.adjacency()
+            oracle = 0.0
+            for i in range(5):
+                for j in range(5):
+                    if i == j:
+                        continue
+                    f = 1.0 / (1.0 + math.exp(gamma * np.sum((attrs[i] - attrs[j]) ** 2)))
+                    oracle += math.log(f) if a[i, j] else math.log(1 - f)
+            assert kernel_loglik(graph, model) == pytest.approx(oracle, rel=1e-10)
 
     def test_negative_kernel_rejected(self):
         graph = DirectedGraph(2, ((0, 1),))
