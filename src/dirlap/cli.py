@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,11 +23,11 @@ from .inference import (GAMMA_MAX, GAMMA_MIN, ComparisonReport, compare_models,
                         fit_gamma_density, fit_gamma_mle, select_g)
 from .models import (PRDRGParams, TrophicParams, gen_clustered_angles,
                      gen_trophic_levels, make_prdrg_expected_edges,
-                     make_prdrg_loglik, make_trophic_loglik, prdrg_sample,
-                     trophic_expected_edges, trophic_sample,
+                     make_prdrg_loglik, make_trophic_expected_edges,
+                     make_trophic_loglik, prdrg_sample, trophic_sample,
                      weighted_trophic_logdensity)
-from .spectral import (NumericalError, assignment_to_csv, magnetic_algorithm,
-                       trophic_algorithm)
+from .spectral import (DegeneracyWarning, NumericalError, assignment_to_csv,
+                       magnetic_algorithm, trophic_algorithm)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -399,7 +400,7 @@ def cmd_curve(args) -> int:
             graph, TrophicParams(attributes, gamma))
     else:
         loglik = make_trophic_loglik(graph, attributes)
-        density_expected = lambda gamma: trophic_expected_edges(attributes, gamma)
+        density_expected = make_trophic_expected_edges(attributes)
     if args.grid_points < 1:
         raise _fail("arguments", "grid-points must be >= 1", EXIT_INPUT)
     # the table is the fit's own grid, so no gamma is probed twice
@@ -491,7 +492,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with warnings.catch_warnings():
+            # show every degeneracy, not only the first one per source line
+            # and process; appended, so a filter the caller set still wins
+            warnings.simplefilter("always", DegeneracyWarning, append=True)
+            return args.func(args)
     except _StageError as exc:
         print(f"error [{exc.stage}]: {exc}", file=sys.stderr)
         return exc.code

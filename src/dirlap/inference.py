@@ -10,7 +10,7 @@ import numpy as np
 
 from .graphs import DirectedGraph, GraphStructureError
 from .models import (make_prdrg_expected_edges, make_prdrg_loglik,
-                     make_trophic_loglik, trophic_expected_edges)
+                     make_trophic_expected_edges, make_trophic_loglik)
 from .spectral import (NumericalError, PhaseAssignment, TrophicAssignment,
                        _magnetic_phases, _magnetic_view, trophic_algorithm)
 
@@ -285,7 +285,7 @@ def compare_models(graph: DirectedGraph,
     trophic_gamma_fit = fit_gamma_mle(make_trophic_loglik(graph, levels.h),
                                       gamma_min, gamma_max)
     trophic_density = _density_estimate(
-        lambda gamma: trophic_expected_edges(levels.h, gamma),
+        make_trophic_expected_edges(levels.h),
         graph.edge_count, gamma_max)
     trophic_fit = _model_fit("trophic-RDRG", trophic_gamma_fit,
                              trophic_density, None)

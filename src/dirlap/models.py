@@ -310,10 +310,11 @@ def prdrg_expected_edges(theta, gamma: float, g: float) -> float:
 # independent-edge models: P(edge i -> j) = 1 / (1 + exp(gamma * penalty_ij))
 
 
-def _edge_prob(x):
-    """1 / (1 + exp(x)) for x >= 0, as e / (1 + e) with e = exp(-x)."""
-    e = np.exp(-x)
-    return e / (1.0 + e)
+def _edge_prob(x, out=None):
+    """1 / (1 + exp(x)) for x >= 0, as e / (1 + e) with e = exp(-x);
+    written into ``out`` when given, which may be ``x`` itself."""
+    e = np.exp(np.negative(x, out=out), out=out)
+    return np.divide(e, 1.0 + e, out=out)
 
 
 def _make_bernoulli_loglik(graph: DirectedGraph,
@@ -321,7 +322,9 @@ def _make_bernoulli_loglik(graph: DirectedGraph,
     """Return gamma -> sum over ordered pairs i != j of log P(A_ij).
 
     P(A_ij = 1) = 1 / (1 + exp(gamma * penalty_ij)) for the n x n
-    nonnegative ``penalty``; the log-sigmoid stays in the log domain.
+    nonnegative ``penalty``; the log-sigmoid stays in the log domain.  The
+    returned function reuses its work arrays, so call it from one thread
+    at a time.
     """
     n = graph.n
     adj = np.zeros((n, n), dtype=bool)
@@ -329,11 +332,20 @@ def _make_bernoulli_loglik(graph: DirectedGraph,
     off = ~np.eye(n, dtype=bool)
     penalty, present = penalty[off], adj[off]
 
+    # work arrays kept for every probe: fresh n x n temporaries would be
+    # new pages, faulted in on each call
+    x, log_p = np.empty_like(penalty), np.empty_like(penalty)
+
     def loglik(gamma: float) -> float:
-        x = _check_gamma(gamma) * penalty
-        log_absent = -np.log1p(np.exp(-x))
-        log_present = log_absent - x
-        return float(np.sum(np.where(present, log_present, log_absent)))
+        np.multiply(_check_gamma(gamma), penalty, out=x)
+        # log P(absent) = -log1p(exp(-x)), log P(present) = log P(absent) - x
+        np.negative(x, out=log_p)
+        np.exp(log_p, out=log_p)
+        np.log1p(log_p, out=log_p)
+        np.negative(log_p, out=log_p)
+        np.subtract(log_p, x, out=x)
+        np.copyto(log_p, x, where=present)
+        return float(np.sum(log_p))
 
     return loglik
 
@@ -377,12 +389,27 @@ def trophic_sample(params: TrophicParams, seed) -> DirectedGraph:
     return DirectedGraph(n, edges)
 
 
+def make_trophic_expected_edges(h) -> Callable[[float], float]:
+    """Precompute the squared level gaps and return gamma -> expected edge count.
+
+    The returned function reuses one n x n work array, so call it from one
+    thread at a time.
+    """
+    h = np.asarray(h, dtype=float)
+    penalty = (h[None, :] - h[:, None] - 1.0) ** 2
+    prob = np.empty_like(penalty)   # reused, as in _make_bernoulli_loglik
+
+    def expected(gamma: float) -> float:
+        _edge_prob(np.multiply(_check_gamma(gamma), penalty, out=prob), out=prob)
+        np.fill_diagonal(prob, 0.0)
+        return float(prob.sum())
+
+    return expected
+
+
 def trophic_expected_edges(h, gamma: float) -> float:
     """Expected directed-edge count: sum of edge probabilities over i != j."""
-    h = np.asarray(h, dtype=float)
-    prob = _edge_prob(_check_gamma(gamma) * (h[None, :] - h[:, None] - 1.0) ** 2)
-    np.fill_diagonal(prob, 0.0)
-    return float(prob.sum())
+    return make_trophic_expected_edges(h)(gamma)
 
 
 def _log_weight_normalizer(x: np.ndarray) -> np.ndarray:

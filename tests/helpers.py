@@ -78,3 +78,21 @@ def exact_prdrg_expected_edges(theta, gamma: float, g: float) -> float:
     _, _, logp = _pair_logprobs(theta, gamma, g)
     probs = np.exp(logp)
     return float(np.sum(2.0 * probs[0] + probs[1] + probs[2]))
+
+
+def block_cycle_graph(rng: np.random.Generator, blocks: int, size: int,
+                      out_degree: float = 8.0,
+                      forward_share: float = 0.85) -> DirectedGraph:
+    """Sparse graph of equal blocks joined in a directed cycle.
+
+    Node i sends about ``out_degree`` edges; a ``forward_share`` of them go
+    to random nodes of the next block (the last block feeds the first),
+    the rest to random nodes anywhere.
+    """
+    n = blocks * size
+    m = int(out_degree * n)
+    src = rng.integers(0, n, m)
+    next_block = ((src // size + 1) % blocks) * size + rng.integers(0, size, m)
+    dst = np.where(rng.random(m) < forward_share, next_block, rng.integers(0, n, m))
+    edges = {(int(i), int(j)) for i, j in zip(src, dst) if i != j}
+    return DirectedGraph(n, tuple(edges))

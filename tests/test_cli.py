@@ -1,5 +1,8 @@
 import csv
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,7 @@ from dirlap import parse_edge_list
 from dirlap.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).parent.parent / "src"
 FOOD_WEB = FIXTURES / "food_web_scc.edges"
 
 
@@ -129,6 +133,8 @@ class TestCsvLabels:
         with open(path, newline="", encoding="utf-8") as handle:
             return list(csv.reader(handle))
 
+    # the 3-cycle's bottom eigenvalue is double at g = 1/2 and g = 1/6
+    @pytest.mark.filterwarnings("ignore::dirlap.DegeneracyWarning")
     def test_compare_then_curve_round_trip(self, tmp_path):
         edges = tmp_path / "odd,name.edges"
         edges.write_text(self.ODD, encoding="utf-8")
@@ -158,6 +164,32 @@ class TestCsvLabels:
         values = np.linspace(0.0, 1.0, graph.n)
         assert assignment_to_csv(graph, values) == "label,value\n" + "".join(
             f"{graph.label(i)},{values[i]:.12g}\n" for i in range(graph.n))
+
+
+class TestDegeneracyWarnings:
+    def test_every_call_in_one_process_shows_the_warning(self, tmp_path):
+        # a fresh interpreter, so the warning goes to stderr under Python's
+        # default filters rather than to pytest's recorder
+        edges = tmp_path / "odd.edges"
+        edges.write_text(TestCsvLabels.ODD, encoding="utf-8")
+        script = ("import sys\n"
+                  "from dirlap.cli import main\n"
+                  "for k in range(2):\n"
+                  "    print('--- call', k, file=sys.stderr)\n"
+                  "    main(['compare', '--input', sys.argv[1],\n"
+                  "          '--out-dir', sys.argv[2] + str(k)])\n")
+        env = {key: value for key, value in os.environ.items()
+               if key != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + ([env["PYTHONPATH"]] if "PYTHONPATH" in env else []))
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(edges), str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, check=True)
+        calls = result.stderr.split("--- call")[1:]
+        assert len(calls) == 2
+        for text in calls:
+            assert ("DegeneracyWarning: smallest eigenvalue has multiplicity 2"
+                    in text)
 
 
 class TestReorderCommand:

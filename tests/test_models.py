@@ -10,12 +10,14 @@ from scipy.integrate import quad
 
 from dirlap import (DirectedGraph, KernelModel, NumericalError, PRDRGParams,
                     TrophicParams, frustration, gen_clustered_angles,
-                    gen_trophic_levels, kernel_loglik, magnetic_algorithm,
-                    parse_edge_list, prdrg_expected_edges, prdrg_loglik,
-                    prdrg_pair_probs, prdrg_sample, symmetrize,
-                    trophic_edge_prob, trophic_expected_edges, trophic_loglik,
-                    trophic_sample, weighted_trophic_logdensity)
-from dirlap.models import make_prdrg_loglik
+                    gen_trophic_levels, kernel_loglik, largest_wcc,
+                    magnetic_algorithm, parse_edge_list, prdrg_expected_edges,
+                    prdrg_loglik, prdrg_pair_probs, prdrg_sample, symmetrize,
+                    trophic_algorithm, trophic_edge_prob,
+                    trophic_expected_edges, trophic_loglik, trophic_sample,
+                    weighted_trophic_logdensity)
+from dirlap.models import (make_prdrg_loglik, make_trophic_expected_edges,
+                           make_trophic_loglik)
 from helpers import (exact_prdrg_expected_edges, exact_prdrg_loglik,
                      random_graph)
 
@@ -523,3 +525,56 @@ class TestExpectedEdges:
         trophic_counts = [trophic_expected_edges(h, x) for x in gammas]
         assert (np.diff(prdrg_counts) <= 1e-9).all()
         assert (np.diff(trophic_counts) <= 1e-9).all()
+
+
+def direct_trophic_expected_edges(h, gamma):
+    """The level model's expected edge count with the squared gaps formed
+    anew for this gamma, in the same arithmetic as dirlap.models."""
+    h = np.asarray(h, dtype=float)
+    e = np.exp(-(gamma * (h[None, :] - h[:, None] - 1.0) ** 2))
+    prob = e / (1.0 + e)
+    np.fill_diagonal(prob, 0.0)
+    return float(prob.sum())
+
+
+def direct_bernoulli_loglik(graph, h, gamma):
+    """The level model's log-likelihood with every n x n term formed anew,
+    in the same arithmetic as dirlap.models."""
+    h = np.asarray(h, dtype=float)
+    adj = graph.adjacency().astype(bool)
+    off = ~np.eye(graph.n, dtype=bool)
+    x = gamma * ((h[None, :] - h[:, None] - 1.0) ** 2)[off]
+    log_absent = -np.log1p(np.exp(-x))
+    return float(np.sum(np.where(adj[off], log_absent - x, log_absent)))
+
+
+def level_fixtures():
+    """(graph, levels) pairs: the food web and planted level-model graphs,
+    with fitted levels, plus each planted graph with its planted levels."""
+    graph = parse_edge_list(FOOD_WEB.read_text(encoding="utf-8")).graph
+    yield graph, trophic_algorithm(graph).h
+    for clusters, size, seed in ((2, 60, 1), (3, 60, 2), (5, 50, 3), (6, 46, 4)):
+        planted = gen_trophic_levels(clusters, size, 0.2, seed)
+        graph = trophic_sample(TrophicParams(planted, 5.0), seed + 100)
+        yield graph, planted
+        sub, _ = largest_wcc(graph)
+        yield sub, trophic_algorithm(sub).h
+
+
+class TestLevelModelProbes:
+    """One closure per level vector, probed in sequence, equals the terms
+    formed anew for each gamma bit for bit, so reports print as before."""
+
+    def test_expected_edges_equal_direct_sum(self):
+        for _, h in level_fixtures():
+            expected = make_trophic_expected_edges(h)
+            for gamma in [0.0, *ORACLE_GAMMAS]:
+                direct = direct_trophic_expected_edges(h, gamma)
+                assert expected(gamma) == direct
+                assert trophic_expected_edges(h, gamma) == direct
+
+    def test_loglik_equal_direct_sum(self):
+        for graph, h in level_fixtures():
+            loglik = make_trophic_loglik(graph, h)
+            for gamma in [0.0, *ORACLE_GAMMAS]:
+                assert loglik(gamma) == direct_bernoulli_loglik(graph, h, gamma)

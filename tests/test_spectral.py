@@ -1,14 +1,21 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from dirlap import (DegeneracyWarning, DirectedGraph, GraphStructureError,
-                    apply_ordering, build_magnetic_laplacian,
-                    build_trophic_system, frustration, magnetic_algorithm,
-                    quadratic_form, smallest_eigenpair, symmetrize,
-                    trophic_algorithm, trophic_incoherence)
-from helpers import random_graph, random_weakly_connected_graph
+from dirlap import (DEFAULT_G_CANDIDATES, DegeneracyWarning, DirectedGraph,
+                    GraphStructureError, PRDRGParams, apply_ordering,
+                    build_magnetic_laplacian, build_trophic_system,
+                    frustration, gen_clustered_angles, largest_scc,
+                    magnetic_algorithm, prdrg_sample, quadratic_form,
+                    smallest_eigenpair, symmetrize, trophic_algorithm,
+                    trophic_incoherence)
+from dirlap import spectral
+from helpers import (block_cycle_graph, random_graph,
+                     random_weakly_connected_graph)
 
 TWO_PI = 2 * np.pi
 
@@ -58,24 +65,24 @@ class TestMagneticLaplacian:
             [0.5, -np.exp(-1j * TWO_PI * g) / 2],
             [-np.exp(1j * TWO_PI * g) / 2, 0.5],
         ])
-        np.testing.assert_allclose(lap.matrix, expected, atol=1e-15)
+        np.testing.assert_allclose(lap.matrix.toarray(), expected, atol=1e-15)
 
     def test_g_zero_reciprocal_edge_is_standard_laplacian(self):
         lap = build_magnetic_laplacian(
             symmetrize(DirectedGraph(2, ((0, 1), (1, 0)))), 0.0)
-        np.testing.assert_allclose(lap.matrix, [[1, -1], [-1, 1]], atol=1e-15)
+        np.testing.assert_allclose(lap.matrix.toarray(), [[1, -1], [-1, 1]], atol=1e-15)
 
     def test_empty_graph_gives_zero_matrix(self):
         lap = build_magnetic_laplacian(symmetrize(DirectedGraph(3, ())), 0.3)
-        assert not lap.matrix.any()
+        assert not lap.matrix.toarray().any()
 
     def test_hermitian_and_positive_semidefinite(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
             graph = random_graph(rng, int(rng.integers(2, 30)), 0.25)
             lap = build_magnetic_laplacian(symmetrize(graph), rng.uniform(0, 0.5))
-            np.testing.assert_allclose(lap.matrix, lap.matrix.conj().T, atol=1e-12)
-            assert np.linalg.eigvalsh(lap.matrix).min() >= -1e-10
+            np.testing.assert_allclose(lap.matrix.toarray(), lap.matrix.toarray().conj().T, atol=1e-12)
+            assert np.linalg.eigvalsh(lap.matrix.toarray()).min() >= -1e-10
 
     def test_rejects_bad_rotation(self):
         sym = symmetrize(DirectedGraph(2, ((0, 1),)))
@@ -142,8 +149,8 @@ class TestSmallestEigenpair:
             graph = random_graph(rng, int(rng.integers(2, 40)), 0.3)
             lap = build_magnetic_laplacian(symmetrize(graph), rng.uniform(0, 0.5))
             value, vec = smallest_eigenpair(lap)
-            scale = max(np.linalg.norm(lap.matrix), 1e-30)
-            assert np.linalg.norm(lap.matrix @ vec - value * vec) <= 1e-8 * scale
+            scale = max(np.linalg.norm(lap.matrix.toarray()), 1e-30)
+            assert np.linalg.norm(lap.matrix.toarray() @ vec - value * vec) <= 1e-8 * scale
             assert np.linalg.norm(vec) == pytest.approx(1.0)
             anchor = 0 if abs(vec[0]) >= 1e-12 else int(np.argmax(np.abs(vec) >= 1e-12))
             assert vec[anchor].imag == pytest.approx(0.0, abs=1e-12)
@@ -335,3 +342,188 @@ class TestBruteForceAgreement:
         result = trophic_algorithm(graph)
         np.testing.assert_allclose(result.h, np.arange(n), atol=1e-9)
         assert apply_ordering(graph, result.h).tolist() == list(range(n))
+
+
+# ---------------------------------------------------------------------------
+# the bottom eigenpair's fast paths against the full dense spectrum
+
+
+def gauge_fixed(vec):
+    anchor = 0 if abs(vec[0]) >= 1e-12 else int(np.argmax(np.abs(vec) >= 1e-12))
+    return vec * (np.conj(vec[anchor]) / abs(vec[anchor]))
+
+
+def spectral_scale(lap):
+    """Gershgorin bound on the spectral radius: twice the largest degree."""
+    return float(abs(lap.matrix).sum(axis=1).max())
+
+
+def planted_pair_graph(clusters, size, seed):
+    theta = gen_clustered_angles(clusters, size, 0.2, seed)
+    graph = prdrg_sample(PRDRGParams(theta, 5.0, 1 / clusters), seed + 100)
+    return largest_scc(graph)[0]
+
+
+def sparse_block_graph(blocks, size, seed):
+    return largest_scc(block_cycle_graph(np.random.default_rng(seed), blocks, size))[0]
+
+
+LARGE_GRAPHS = {
+    "pair-5x100": lambda: planted_pair_graph(5, 100, 1),
+    "pair-4x250": lambda: planted_pair_graph(4, 250, 2),
+    "blocks-5x100": lambda: sparse_block_graph(5, 100, 3),
+}
+
+
+class TestBottomEigenpairOracle:
+    @pytest.mark.parametrize("name", [
+        "pair-5x100", "blocks-5x100",
+        pytest.param("pair-4x250", marks=pytest.mark.slow)])
+    def test_lobpcg_matches_full_dense(self, name):
+        graph = LARGE_GRAPHS[name]()
+        assert graph.n >= spectral._LOBPCG_MIN_NODES
+        sym = symmetrize(graph)
+        for g in DEFAULT_G_CANDIDATES:
+            lap = build_magnetic_laplacian(sym, g)
+            certified = spectral._lobpcg_pair(lap.matrix)
+            assert certified is not None, f"g={g}: LOBPCG fell back"
+            value, vec = smallest_eigenpair(lap)
+            assert value == certified[0]
+            spectrum, vectors = np.linalg.eigh(lap.matrix.toarray())
+            assert abs(value - spectrum[0]) <= 1e-9 * spectral_scale(lap)
+            assert np.linalg.norm(vec - gauge_fixed(vectors[:, 0])) <= 1e-8
+
+    def test_partial_dense_matches_full_below_cutoff(self):
+        rng = np.random.default_rng(59)
+        for n in (5, 20, 80, 200, spectral._LOBPCG_MIN_NODES - 1):
+            graph = random_weakly_connected_graph(rng, n, extra_p=4.0 / n)
+            lap = build_magnetic_laplacian(symmetrize(graph), rng.uniform(0.05, 0.5))
+            value, vec = smallest_eigenpair(lap)
+            spectrum, vectors = np.linalg.eigh(lap.matrix.toarray())
+            assert abs(value - spectrum[0]) <= 1e-12 * spectral_scale(lap)
+            assert np.linalg.norm(vec - gauge_fixed(vectors[:, 0])) <= 1e-10
+
+    @staticmethod
+    def two_copies(graph):
+        n = graph.n
+        return DirectedGraph(2 * n, graph.edges + tuple((i + n, j + n)
+                                                        for i, j in graph.edges))
+
+    # edgeless: nothing for LOBPCG to precondition; two directed 250-cycles:
+    # LOBPCG does not converge; two copies of one random graph: it converges
+    # to two equal Ritz values
+    @pytest.mark.parametrize("name, g, multiplicity", [
+        ("edgeless", 0.2, 500), ("two-cycles", 0.2, 2), ("two-cycles", 1 / 3, 2),
+        ("two-copies", 0.2, 2), ("two-copies", 1 / 3, 2)])
+    def test_tie_above_cutoff_matches_full_dense(self, name, g, multiplicity):
+        graph = {
+            "edgeless": lambda: DirectedGraph(500, ()),
+            "two-cycles": lambda: self.two_copies(
+                DirectedGraph(250, tuple((i, (i + 1) % 250) for i in range(250)))),
+            "two-copies": lambda: self.two_copies(
+                random_graph(np.random.default_rng(67), 250, 0.05)),
+        }[name]()
+        lap = build_magnetic_laplacian(symmetrize(graph), g)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert spectral._lobpcg_pair(lap.matrix) is None
+            value, vec = smallest_eigenpair(lap)
+        assert [type(w.message) for w in caught] == [DegeneracyWarning]
+        assert f"multiplicity {multiplicity} " in str(caught[0].message)
+        spectrum, vectors = np.linalg.eigh(lap.matrix.toarray())
+        tied = int(np.sum(spectrum - spectrum[0] < 1e-10))
+        assert tied == multiplicity
+        assert value == spectrum[tied - 1]
+        np.testing.assert_array_equal(vec, gauge_fixed(vectors[:, tied - 1]))
+
+    def test_unconverged_lobpcg_falls_back(self, monkeypatch):
+        graph = LARGE_GRAPHS["blocks-5x100"]()
+        lap = build_magnetic_laplacian(symmetrize(graph), 0.2)
+        monkeypatch.setattr(spectral, "_LOBPCG_MAXITER", 2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert spectral._lobpcg_pair(lap.matrix) is None
+            value, vec = smallest_eigenpair(lap)
+        assert caught == []
+        spectrum, vectors = np.linalg.eigh(lap.matrix.toarray())
+        assert abs(value - spectrum[0]) <= 1e-12 * spectral_scale(lap)
+        assert np.linalg.norm(vec - gauge_fixed(vectors[:, 0])) <= 1e-10
+
+    def test_same_phases_whatever_the_candidate_order(self):
+        graph = LARGE_GRAPHS["blocks-5x100"]()
+        first = [magnetic_algorithm(graph, g).theta for g in DEFAULT_G_CANDIDATES]
+        again = [magnetic_algorithm(graph, g).theta
+                 for g in reversed(DEFAULT_G_CANDIDATES)][::-1]
+        for a, b in zip(first, again):
+            np.testing.assert_array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# metamorphic relations of the phases, on both sides of the LOBPCG cutoff
+
+
+def assert_equal_up_to_rotation(a, b, atol=1e-7):
+    """Angle vectors that differ by one global rotation (the gauge)."""
+    turn = np.exp(1j * (np.asarray(b) - np.asarray(a)))
+    np.testing.assert_allclose(turn, turn[0], atol=atol)
+
+
+def relabelled(graph, perm):
+    return DirectedGraph(graph.n, tuple((int(perm[i]), int(perm[j]))
+                                        for i, j in graph.edges))
+
+
+def reversed_graph(graph):
+    return DirectedGraph(graph.n, tuple((j, i) for i, j in graph.edges))
+
+
+def check_metamorphic(graph, g, perm):
+    theta = magnetic_algorithm(graph, g).theta
+    # node i of graph is node perm[i] of the relabelled one
+    moved = magnetic_algorithm(relabelled(graph, perm), g).theta
+    assert_equal_up_to_rotation(theta, moved[perm])
+    # reversing every edge conjugates the Laplacian, so theta -> -theta
+    mirrored = magnetic_algorithm(reversed_graph(graph), g).theta
+    assert_equal_up_to_rotation(-theta, mirrored)
+
+
+@st.composite
+def connected_small_graphs(draw):
+    """A randomly oriented spanning tree plus extra edges, with a relabelling."""
+    n = draw(st.integers(3, 40))
+    edges = set()
+    for k in range(1, n):
+        parent = draw(st.integers(0, k - 1))
+        edges.add((parent, k) if draw(st.booleans()) else (k, parent))
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n))
+    edges.update((i, j) for i, j in extra if i != j)
+    perm = np.array(draw(st.permutations(range(n))))
+    return DirectedGraph(n, tuple(edges)), perm
+
+
+def well_separated(graph, g):
+    """A simple bottom eigenvalue and no vanishing component, so the
+    phases are unique up to the gauge."""
+    lap = build_magnetic_laplacian(symmetrize(graph), g)
+    spectrum, vectors = np.linalg.eigh(lap.matrix.toarray())
+    return (spectrum[1] - spectrum[0] > 1e-6 * spectral_scale(lap)
+            and np.abs(vectors[:, 0]).min() > 1e-6)
+
+
+class TestMetamorphicPhases:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(connected_small_graphs(), st.sampled_from(DEFAULT_G_CANDIDATES))
+    def test_small_graphs(self, graph_and_perm, g):
+        graph, perm = graph_and_perm
+        assume(well_separated(graph, g))
+        check_metamorphic(graph, g, perm)
+
+    @pytest.mark.parametrize("name", ["pair-5x100", "blocks-5x100"])
+    def test_large_graphs(self, name):
+        graph = LARGE_GRAPHS[name]()
+        assert graph.n >= spectral._LOBPCG_MIN_NODES
+        perm = np.random.default_rng(61).permutation(graph.n)
+        for g in (1 / 2, 1 / 5):
+            check_metamorphic(graph, g, perm)
