@@ -266,13 +266,13 @@ def cmd_compare(args) -> int:
 def _reordered_triples(graph: DirectedGraph, perm: np.ndarray) -> str:
     rank = np.empty(graph.n, dtype=int)
     rank[perm] = np.arange(graph.n)
-    triples = []
-    for k, (i, j) in enumerate(graph.edges):
-        value = graph.weights[k] if graph.is_weighted else 1.0
-        triples.append((int(rank[i]), int(rank[j]), value))
-    triples.sort()
+    rows, cols = rank[graph.edge_index[:, 0]], rank[graph.edge_index[:, 1]]
+    order = np.lexsort((cols, rows))
+    values = (graph.edge_weights[order] if graph.is_weighted
+              else np.ones(graph.edge_count))
     lines = ["row,col,value"]
-    lines += [f"{r},{c},{VALUE_FMT % v}" for r, c, v in triples]
+    lines += [f"{r},{c},{VALUE_FMT % v}" for r, c, v
+              in zip(rows[order].tolist(), cols[order].tolist(), values.tolist())]
     return "".join(line + "\n" for line in lines)
 
 

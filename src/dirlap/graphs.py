@@ -6,6 +6,7 @@ import csv
 import functools
 import io
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -28,69 +29,113 @@ class GraphStructureError(ValueError):
     """The graph lacks structure required by the requested operation."""
 
 
-@dataclass(frozen=True)
 class DirectedGraph:
     """Immutable directed graph on dense node indices 0..n-1.
 
-    ``edges`` holds ordered pairs, kept canonically sorted, with no
-    self-loops and no duplicates.  ``weights``, when present, is aligned
-    with ``edges`` and every value lies strictly in (0, 1).  ``labels``
-    preserves the node names from the source file so reports can show
-    them; computation always runs on the dense indices, read as arrays
-    from ``edge_index``.
+    ``DirectedGraph(n, edges, weights=None, labels=None)`` takes the edges
+    as a sequence of (source, target) pairs or an (m, 2) integer array.
+    The canonical form is ``edge_index``: a read-only (m, 2) int64 array
+    sorted by source, then target, with no self-loops and no duplicates.
+    ``edge_weights``, when present, is a read-only float64 array aligned
+    with it, every value strictly in (0, 1).  ``labels`` preserves the
+    node names from the source file so reports can show them.
+
+    ``edges`` and ``weights`` are the same data as tuples, built on first
+    use for callers that want Python objects; computation reads the
+    arrays.
     """
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    weights: tuple[float, ...] | None = None
-    labels: tuple[str, ...] | None = None
-
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, edges, weights=None, labels=None):
+        if n < 0:
             raise ValueError("node count must be nonnegative")
-        if self.weights is not None and len(self.weights) != len(self.edges):
-            raise ValueError("weights must align one-to-one with edges")
-        if self.labels is not None and len(self.labels) != self.n:
-            raise ValueError(f"expected {self.n} labels, got {len(self.labels)}")
-        if self.weights is None:
-            edges = tuple(sorted((int(i), int(j)) for i, j in self.edges))
+        idx = _pair_array(edges)
+        if weights is not None:
+            weights = np.asarray(weights, dtype=np.float64)
+            if weights.shape != (len(idx),):
+                raise ValueError("weights must align one-to-one with edges")
+        if labels is not None:
+            labels = tuple(labels)
+            if len(labels) != n:
+                raise ValueError(f"expected {n} labels, got {len(labels)}")
+        src, dst = idx[:, 0], idx[:, 1]
+        ascending = (src[1:] > src[:-1]) | ((src[1:] == src[:-1]) & (dst[1:] >= dst[:-1]))
+        if ascending.all():
+            # sorted by (i, j) already, as the parser and subgraphs build
+            # it; ordering by weight too would only move duplicates, which
+            # are rejected below
+            idx = idx.copy()
+            weights = None if weights is None else weights.copy()
         else:
-            pairs = sorted(zip(((int(i), int(j)) for i, j in self.edges),
-                               (float(w) for w in self.weights)))
-            edges = tuple(e for e, _ in pairs)
-            object.__setattr__(self, "weights", tuple(w for _, w in pairs))
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "labels",
-                           tuple(self.labels) if self.labels is not None else None)
-        seen = set()
-        for i, j in self.edges:
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge ({i}, {j}) out of range for n={self.n}")
-            if i == j:
-                raise ValueError(f"self-loop on node {i} is not allowed")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate edge ({i}, {j})")
-            seen.add((i, j))
-        if self.weights is not None:
-            for (i, j), w in zip(self.edges, self.weights):
-                if not 0.0 < w < 1.0:
-                    raise ValueError(f"weight {w} on edge ({i}, {j}) outside (0, 1)")
+            order = np.lexsort((dst, src) if weights is None else (weights, dst, src))
+            idx = idx[order]
+            weights = None if weights is None else weights[order]
+        _check_edges(n, idx)
+        if weights is not None:
+            bad = ~((weights > 0.0) & (weights < 1.0))
+            if bad.any():
+                k = int(np.argmax(bad))
+                i, j = idx[k].tolist()
+                raise ValueError(
+                    f"weight {float(weights[k])} on edge ({i}, {j}) outside (0, 1)")
+            weights.setflags(write=False)
+        idx.setflags(write=False)
+        for name, value in (("n", n), ("edge_index", idx),
+                            ("edge_weights", weights), ("labels", labels)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"DirectedGraph is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"DirectedGraph is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, DirectedGraph):
+            return NotImplemented
+        if self.is_weighted != other.is_weighted:
+            return False
+        return (self.n == other.n and self.labels == other.labels
+                and np.array_equal(self.edge_index, other.edge_index)
+                and (not self.is_weighted
+                     or np.array_equal(self.edge_weights, other.edge_weights)))
+
+    def __hash__(self):
+        return hash((self.n, self.labels, self.edge_index.tobytes(),
+                     None if self.edge_weights is None
+                     else self.edge_weights.tobytes()))
+
+    def __repr__(self):
+        return (f"DirectedGraph(n={self.n}, edge_count={self.edge_count}, "
+                f"weighted={self.is_weighted})")
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.edge_index)
 
     @functools.cached_property
-    def edge_index(self) -> np.ndarray:
-        """Read-only (m, 2) int64 array of ``edges``, built on first use."""
-        idx = np.fromiter(itertools.chain.from_iterable(self.edges), np.int64,
-                          2 * len(self.edges)).reshape(-1, 2)
-        idx.setflags(write=False)
-        return idx
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """``edge_index`` as a tuple of (source, target) int pairs."""
+        return tuple(map(tuple, self.edge_index.tolist()))
+
+    @functools.cached_property
+    def weights(self) -> tuple[float, ...] | None:
+        """``edge_weights`` as a tuple of floats, or None when unweighted."""
+        return None if self.edge_weights is None else tuple(self.edge_weights.tolist())
+
+    @functools.cached_property
+    def reciprocated(self) -> np.ndarray:
+        """Read-only per-edge mask: True where the reverse edge is present too."""
+        src, dst = self.edge_index.T
+        key = src * self.n + dst           # ascending: edges are sorted
+        rev = dst * self.n + src
+        at = np.minimum(np.searchsorted(key, rev), len(key) - 1)
+        mask = key[at] == rev
+        mask.setflags(write=False)
+        return mask
 
     @property
     def is_weighted(self) -> bool:
-        return self.weights is not None
+        return self.edge_weights is not None
 
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels is not None else str(i)
@@ -99,14 +144,49 @@ class DirectedGraph:
         """Dense adjacency matrix; entries are weights when present, else 0/1."""
         a = np.zeros((self.n, self.n))
         idx = self.edge_index
-        a[idx[:, 0], idx[:, 1]] = np.array(self.weights) if self.is_weighted else 1.0
+        a[idx[:, 0], idx[:, 1]] = self.edge_weights if self.is_weighted else 1.0
         return a
+
+
+def _pair_array(edges) -> np.ndarray:
+    """(m, 2) int64 array of a sequence of pairs or an (m, 2) array."""
+    idx = np.asarray(edges, dtype=np.int64)
+    if idx.size == 0:
+        idx = idx.reshape(0, 2)
+    if idx.ndim != 2 or idx.shape[1] != 2:
+        raise ValueError("edges must be (source, target) pairs")
+    return idx
+
+
+def _check_edges(n: int, idx: np.ndarray) -> None:
+    """Reject the first edge, in sorted order, that is out of range, a
+    self-loop or a repeat of the one before it, in that order of checks."""
+    src, dst = idx[:, 0], idx[:, 1]
+    out_of_range = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+    loop = src == dst
+    repeat = np.zeros(len(idx), dtype=bool)
+    repeat[1:] = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
+    bad = out_of_range | loop | repeat
+    if not bad.any():
+        return
+    k = int(np.argmax(bad))
+    i, j = idx[k].tolist()
+    if out_of_range[k]:
+        raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
+    if loop[k]:
+        raise ValueError(f"self-loop on node {i} is not allowed")
+    raise ValueError(f"duplicate edge ({i}, {j})")
 
 
 @dataclass(frozen=True)
 class ParseResult:
     graph: DirectedGraph
     self_loops_dropped: int
+
+
+# lines split at a time: the token lists of one chunk are alive at once,
+# so this bounds the parse's peak memory
+_CHUNK_LINES = 16384
 
 
 def parse_edge_list(text: str | Iterable[str], weighted: bool = False) -> ParseResult:
@@ -117,49 +197,132 @@ def parse_edge_list(text: str | Iterable[str], weighted: bool = False) -> ParseR
     lines are ignored.  Node labels are arbitrary strings mapped to dense
     indices in order of first appearance.  Self-loop lines are dropped and
     counted.  Duplicate edges collapse in unweighted mode and are rejected
-    in weighted mode.
+    in weighted mode.  When several lines are malformed, the error names
+    the first of them.
+
+    Lines are split a chunk at a time; labels map to ids through one dict
+    and the rest is array work, so no Python object is kept per edge.
     """
-    lines = text.splitlines() if isinstance(text, str) else list(text)
-    index: dict[str, int] = {}
-    plain_edges: set[tuple[int, int]] = set()
-    weighted_edges: dict[tuple[int, int], float] = {}
-    loops = 0
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line[0] in "#%":
-            continue
-        tokens = line.split()
-        if weighted:
-            if len(tokens) != 3:
-                raise EdgeListError("expected 'src dst weight'", lineno)
-        elif len(tokens) not in (2, 3):
-            raise EdgeListError("expected 'src dst'", lineno)
-        i = index.setdefault(tokens[0], len(index))
-        j = index.setdefault(tokens[1], len(index))
-        if i == j:
-            loops += 1
-            continue
-        if weighted:
-            try:
-                w = float(tokens[2])
-            except ValueError:
-                raise EdgeListError(f"bad weight {tokens[2]!r}", lineno) from None
-            if not 0.0 < w < 1.0:
-                raise EdgeListError(f"weight {w} outside (0, 1)", lineno)
-            if (i, j) in weighted_edges:
-                raise EdgeListError(
-                    f"duplicate edge {tokens[0]} -> {tokens[1]}", lineno)
-            weighted_edges[(i, j)] = w
-        else:
-            plain_edges.add((i, j))
-    labels = tuple(sorted(index, key=index.get))
+    source = text if isinstance(text, str) else list(text)
+    labels, ids, weights, error = _scan(_lines(source), weighted)
+    src, dst = ids[0::2], ids[1::2]
+    n = len(labels)
+    nonloop = np.flatnonzero(src != dst)
+    keys = src[nonloop]
+    keys *= n
+    keys += dst[nonloop]
     if weighted:
-        edges = tuple(weighted_edges)
-        weights = tuple(weighted_edges[e] for e in edges)
-        graph = DirectedGraph(len(labels), edges, weights, labels)
+        # a weighted duplicate is an error at its second line; the scan
+        # stopped before any row it found bad, so a duplicate comes first
+        order = np.argsort(keys, kind="stable")
+        repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+        if len(repeats):
+            row = int(nonloop[repeats.min()])
+            error = (row, f"duplicate edge {labels[src[row]]} -> {labels[dst[row]]}")
+    if error is not None:
+        raise EdgeListError(error[1], _line_number(_lines(source), error[0]))
+    loops = len(src) - len(nonloop)
+    if weighted:
+        graph = DirectedGraph(n, np.column_stack((src[nonloop], dst[nonloop])),
+                              weights, labels)
     else:
-        graph = DirectedGraph(len(labels), tuple(plain_edges), None, labels)
+        del ids, src, dst, nonloop     # free them before the edge arrays
+        # one key per distinct edge, ascending; np.sort and a mask, since
+        # np.unique took ~30x as long on 200k int64 keys (NumPy 2.4)
+        keys.sort()
+        distinct = np.ones(len(keys), dtype=bool)
+        distinct[1:] = keys[1:] != keys[:-1]
+        keys = keys[distinct]
+        edge_index = np.empty((len(keys), 2), dtype=np.int64)
+        np.divmod(keys, max(n, 1), out=(edge_index[:, 0], edge_index[:, 1]))
+        graph = DirectedGraph(n, edge_index, None, labels)
     return ParseResult(graph, loops)
+
+
+def _lines(source: str | list[str]) -> list[str]:
+    return source.splitlines() if isinstance(source, str) else source
+
+
+def _scan(lines: list[str], weighted: bool):
+    """Split ``lines`` a chunk at a time and map labels to ids.
+
+    Returns (labels, ids, weights, error): ``ids`` interleaves the source
+    and target id of each data row, ``weights`` holds the weights of the
+    non-loop rows in weighted mode, and ``error`` is (data row, message)
+    for the first row with a wrong token count or a bad weight, or None.
+    Scanning stops at that row: ``ids`` ends before it.
+    """
+    arity = {3} if weighted else {2, 3}
+    index: dict[str, int] = {}
+    id_parts: list[np.ndarray] = []
+    weight_parts: list[np.ndarray] = []
+    error = None
+    rows_before = 0
+    for start in range(0, len(lines), _CHUNK_LINES):
+        # same test as _line_number: a data row is a non-blank line whose
+        # first character after leading whitespace is not # or %
+        rows = [tokens for tokens in map(str.split, lines[start:start + _CHUNK_LINES])
+                if tokens and tokens[0][0] not in "#%"]
+        if not arity.issuperset(map(len, rows)):
+            r = next(r for r, tokens in enumerate(rows) if len(tokens) not in arity)
+            error = (rows_before + r,
+                     "expected 'src dst weight'" if weighted else "expected 'src dst'")
+            rows = rows[:r]
+        names = list(itertools.chain.from_iterable(
+            map(operator.itemgetter(0, 1), rows)))
+        fresh = [name for name in dict.fromkeys(names) if name not in index]
+        index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
+        ids = np.fromiter(map(index.__getitem__, names), np.int64, len(names))
+        if weighted:
+            nonloop = np.flatnonzero(ids[0::2] != ids[1::2]).tolist()
+            weights, bad = _parse_weights([rows[r][2] for r in nonloop])
+            if bad is None:
+                weight_parts.append(weights)
+            else:
+                # keep the rows before this one: they can hold a duplicate
+                r = nonloop[bad[0]]
+                error = (rows_before + r, bad[1])
+                ids = ids[:2 * r]
+        id_parts.append(ids)
+        if error is not None:
+            break
+        rows_before += len(rows)
+    ids = np.concatenate(id_parts) if id_parts else np.empty(0, dtype=np.int64)
+    weights = None
+    if weighted:
+        weights = np.concatenate(weight_parts) if weight_parts else np.empty(0)
+    return tuple(index), ids, weights, error
+
+
+def _parse_weights(tokens: list[str]):
+    """(weights, None) when ``float`` takes every token to a value in
+    (0, 1); otherwise (None, (k, message)) for the first token k that
+    fails."""
+    try:
+        weights = np.fromiter(map(float, tokens), np.float64, len(tokens))
+    except ValueError:
+        weights = None
+    if weights is not None and ((weights > 0.0) & (weights < 1.0)).all():
+        return weights, None
+    # some token failed above, so this loop returns
+    for k, token in enumerate(tokens):
+        try:
+            w = float(token)
+        except ValueError:
+            return None, (k, f"bad weight {token!r}")
+        if not 0.0 < w < 1.0:
+            return None, (k, f"weight {w} outside (0, 1)")
+
+
+def _line_number(lines, row: int) -> int:
+    """1-based number of the line holding data row ``row`` (0-based)."""
+    for lineno, raw in enumerate(lines, start=1):
+        tokens = raw.split()
+        if tokens and tokens[0][0] not in "#%":
+            if row == 0:
+                return lineno
+            row -= 1
+    raise IndexError(row)
 
 
 def serialize_edge_list(graph: DirectedGraph) -> str:
@@ -168,16 +331,16 @@ def serialize_edge_list(graph: DirectedGraph) -> str:
     Lines are sorted by (source label, target label) so the text form is
     canonical: parsing and re-serializing reproduces it byte for byte.
     """
-    rows = []
-    for k, (i, j) in enumerate(graph.edges):
-        if graph.is_weighted:
-            rows.append((graph.label(i), graph.label(j),
-                         f"{graph.label(i)} {graph.label(j)} {graph.weights[k]!r}"))
-        else:
-            rows.append((graph.label(i), graph.label(j),
-                         f"{graph.label(i)} {graph.label(j)}"))
-    rows.sort()
-    return "".join(line + "\n" for _, _, line in rows)
+    names = [graph.label(i) for i in range(graph.n)]
+    rank = np.empty(graph.n, dtype=np.int64)
+    rank[sorted(range(graph.n), key=names.__getitem__)] = np.arange(graph.n)
+    src, dst = graph.edge_index.T
+    order = np.lexsort((rank[dst], rank[src]))
+    pairs = graph.edge_index[order].tolist()
+    if graph.is_weighted:
+        return "".join(f"{names[i]} {names[j]} {w!r}\n" for (i, j), w
+                       in zip(pairs, graph.edge_weights[order].tolist()))
+    return "".join(f"{names[i]} {names[j]}\n" for i, j in pairs)
 
 
 def _edge_pattern(graph: DirectedGraph) -> csr_matrix:
@@ -188,19 +351,17 @@ def _edge_pattern(graph: DirectedGraph) -> csr_matrix:
 
 def _induced_subgraph(graph: DirectedGraph,
                       keep: np.ndarray) -> tuple[DirectedGraph, tuple[int, ...]]:
-    remap = {int(orig): new for new, orig in enumerate(keep)}
-    edges = []
-    weights = [] if graph.is_weighted else None
-    for k, (i, j) in enumerate(graph.edges):
-        if i in remap and j in remap:
-            edges.append((remap[i], remap[j]))
-            if weights is not None:
-                weights.append(graph.weights[k])
-    labels = (tuple(graph.label(int(i)) for i in keep)
+    """Subgraph on the ascending node indices ``keep``; the renumbering is
+    monotone, so the kept edges stay sorted."""
+    remap = np.full(graph.n, -1, dtype=np.int64)
+    remap[keep] = np.arange(len(keep))
+    ends = remap[graph.edge_index]
+    inside = (ends >= 0).all(axis=1)
+    weights = graph.edge_weights[inside] if graph.is_weighted else None
+    keep = keep.tolist()
+    labels = ([graph.labels[i] for i in keep]
               if graph.labels is not None else None)
-    sub = DirectedGraph(len(keep), tuple(edges),
-                        tuple(weights) if weights is not None else None, labels)
-    return sub, tuple(int(i) for i in keep)
+    return DirectedGraph(len(keep), ends[inside], weights, labels), tuple(keep)
 
 
 def _largest_component(graph: DirectedGraph,
@@ -209,16 +370,10 @@ def _largest_component(graph: DirectedGraph,
         raise GraphStructureError("graph has no nodes")
     _, membership = connected_components(_edge_pattern(graph), directed=True,
                                          connection=connection)
-    counts = np.bincount(membership)
-    candidates = np.flatnonzero(counts == counts.max())
-    if len(candidates) > 1:
-        # tie: component whose smallest original node index is smallest
-        first_index = [int(np.argmax(membership == c)) for c in candidates]
-        best = candidates[int(np.argmin(first_index))]
-    else:
-        best = candidates[0]
-    keep = np.flatnonzero(membership == best)
-    return _induced_subgraph(graph, keep)
+    size = np.bincount(membership)[membership]
+    # tie: component whose smallest original node index is smallest
+    best = membership[np.argmax(size == size.max())]
+    return _induced_subgraph(graph, np.flatnonzero(membership == best))
 
 
 def largest_scc(graph: DirectedGraph) -> tuple[DirectedGraph, tuple[int, ...]]:

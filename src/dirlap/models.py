@@ -209,15 +209,11 @@ def _observed_excess(graph: DirectedGraph, theta: np.ndarray, g: float) -> float
     pair counts it as its forward or its backward outcome.  A reciprocated
     pair contributes 2*cos(beta) - 2, split over its two edges.
     """
-    if not graph.edges:
+    if graph.edge_count == 0:
         return 0.0
     src, dst = graph.edge_index.T
-    key = src * graph.n + dst           # ascending: edges are sorted
-    rev = dst * graph.n + src
-    at = np.minimum(np.searchsorted(key, rev), len(key) - 1)
-    mutual = key[at] == rev
     beta = theta[src] - theta[dst]
-    return float(np.sum(np.where(mutual, np.cos(beta),
+    return float(np.sum(np.where(graph.reciprocated, np.cos(beta),
                                  np.cos(beta + TWO_PI * g)) - 1.0))
 
 
@@ -268,15 +264,10 @@ def prdrg_sample(params: PRDRGParams, seed) -> DirectedGraph:
     cum = np.cumsum(np.exp(logp), axis=0)
     u = np.random.default_rng(seed).random(len(iu))
     outcome = (u[None, :] >= cum[:3, :]).sum(axis=0)
-    edges: list[tuple[int, int]] = []
-    for k in np.flatnonzero(outcome == 0):
-        edges.append((int(iu[k]), int(ju[k])))
-        edges.append((int(ju[k]), int(iu[k])))
-    for k in np.flatnonzero(outcome == 1):
-        edges.append((int(iu[k]), int(ju[k])))
-    for k in np.flatnonzero(outcome == 2):
-        edges.append((int(ju[k]), int(iu[k])))
-    return DirectedGraph(n, tuple(edges))
+    both, fwd, bwd = outcome == 0, outcome == 1, outcome == 2
+    src = np.concatenate([iu[both], ju[both], iu[fwd], ju[bwd]])
+    dst = np.concatenate([ju[both], iu[both], ju[fwd], iu[bwd]])
+    return DirectedGraph(n, np.column_stack((src, dst)))
 
 
 def make_prdrg_expected_edges(theta, g: float) -> Callable[[float], float]:
@@ -385,8 +376,7 @@ def trophic_sample(params: TrophicParams, seed) -> DirectedGraph:
     prob = _edge_prob(params.gamma * (h[None, :] - h[:, None] - 1.0) ** 2)
     u = np.random.default_rng(seed).random((n, n))
     adj = (u < prob) & ~np.eye(n, dtype=bool)
-    edges = tuple((int(i), int(j)) for i, j in np.argwhere(adj))
-    return DirectedGraph(n, edges)
+    return DirectedGraph(n, np.argwhere(adj))
 
 
 def make_trophic_expected_edges(h) -> Callable[[float], float]:
@@ -439,7 +429,7 @@ def weighted_trophic_logdensity(graph: DirectedGraph, params: TrophicParams) -> 
     if h.shape != (graph.n,):
         raise ValueError(f"h has length {h.size}, expected {graph.n}")
     idx = graph.edge_index
-    w = np.array(graph.weights)
+    w = graph.edge_weights
     penalty = (h[idx[:, 1]] - h[idx[:, 0]] - 1.0) ** 2
     x = params.gamma * penalty
     return float(np.sum(-params.gamma * w * penalty - _log_weight_normalizer(x)))

@@ -275,10 +275,10 @@ def trophic_incoherence(graph: DirectedGraph, h) -> float:
     h = np.asarray(h, dtype=float)
     if h.shape != (graph.n,):
         raise ValueError(f"h has length {h.size}, expected {graph.n}")
-    if not graph.edges:
+    if graph.edge_count == 0:
         raise GraphStructureError("incoherence is undefined on an edgeless graph")
     idx = graph.edge_index
-    w = np.array(graph.weights) if graph.is_weighted else np.ones(len(idx))
+    w = graph.edge_weights if graph.is_weighted else np.ones(len(idx))
     dev = h[idx[:, 1]] - h[idx[:, 0]] - 1.0
     return float(np.sum(w * dev**2) / np.sum(w))
 
@@ -294,7 +294,7 @@ def trophic_algorithm(graph: DirectedGraph) -> TrophicAssignment:
     """
     if graph.n == 0:
         raise GraphStructureError("graph has no nodes")
-    if not graph.edges:
+    if graph.edge_count == 0:
         raise GraphStructureError("graph has no edges; levels are undefined")
     if not is_weakly_connected(graph):
         raise GraphStructureError(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from dirlap import DirectedGraph
+from dirlap import DirectedGraph, EdgeListError
 
 
 def random_graph(rng: np.random.Generator, n: int, p: float) -> DirectedGraph:
@@ -96,3 +96,74 @@ def block_cycle_graph(rng: np.random.Generator, blocks: int, size: int,
     dst = np.where(rng.random(m) < forward_share, next_block, rng.integers(0, n, m))
     edges = {(int(i), int(j)) for i, j in zip(src, dst) if i != j}
     return DirectedGraph(n, tuple(edges))
+
+
+def reference_parse_edge_list(text, weighted: bool = False):
+    """Line-by-line edge-list parser: the oracle for dirlap.parse_edge_list.
+
+    Returns (labels, edges, weights, self_loops_dropped) with ``edges`` the
+    sorted list of (i, j) pairs and ``weights`` aligned with it (None when
+    unweighted), or raises the EdgeListError the library must raise.
+    """
+    lines = text.splitlines() if isinstance(text, str) else list(text)
+    index: dict[str, int] = {}
+    plain_edges: set[tuple[int, int]] = set()
+    weighted_edges: dict[tuple[int, int], float] = {}
+    loops = 0
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line[0] in "#%":
+            continue
+        tokens = line.split()
+        if weighted:
+            if len(tokens) != 3:
+                raise EdgeListError("expected 'src dst weight'", lineno)
+        elif len(tokens) not in (2, 3):
+            raise EdgeListError("expected 'src dst'", lineno)
+        i = index.setdefault(tokens[0], len(index))
+        j = index.setdefault(tokens[1], len(index))
+        if i == j:
+            loops += 1
+            continue
+        if weighted:
+            try:
+                w = float(tokens[2])
+            except ValueError:
+                raise EdgeListError(f"bad weight {tokens[2]!r}", lineno) from None
+            if not 0.0 < w < 1.0:
+                raise EdgeListError(f"weight {w} outside (0, 1)", lineno)
+            if (i, j) in weighted_edges:
+                raise EdgeListError(
+                    f"duplicate edge {tokens[0]} -> {tokens[1]}", lineno)
+            weighted_edges[(i, j)] = w
+        else:
+            plain_edges.add((i, j))
+    labels = tuple(sorted(index, key=index.get))
+    if weighted:
+        edges = sorted(weighted_edges)
+        return labels, edges, [weighted_edges[e] for e in edges], loops
+    return labels, sorted(plain_edges), None, loops
+
+
+def reference_graph_error(n: int, edges, weights=None) -> str | None:
+    """Message of the ValueError DirectedGraph(n, edges, weights) must raise
+    for these edges, or None: the tuple-sorting check, edge by edge."""
+    if weights is None:
+        pairs = [((int(i), int(j)), None) for i, j in sorted(
+            (int(i), int(j)) for i, j in edges)]
+    else:
+        pairs = sorted(zip(((int(i), int(j)) for i, j in edges),
+                           (float(w) for w in weights)))
+    seen = set()
+    for (i, j), _ in pairs:
+        if not (0 <= i < n and 0 <= j < n):
+            return f"edge ({i}, {j}) out of range for n={n}"
+        if i == j:
+            return f"self-loop on node {i} is not allowed"
+        if (i, j) in seen:
+            return f"duplicate edge ({i}, {j})"
+        seen.add((i, j))
+    for (i, j), w in pairs:
+        if w is not None and not 0.0 < w < 1.0:
+            return f"weight {w} on edge ({i}, {j}) outside (0, 1)"
+    return None

@@ -1,10 +1,18 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirlap import (DirectedGraph, EdgeListError, GraphStructureError,
-                    apply_ordering, largest_scc, largest_wcc, parse_edge_list,
+                    PRDRGParams, apply_ordering, gen_clustered_angles,
+                    largest_scc, largest_wcc, parse_edge_list, prdrg_sample,
                     serialize_edge_list, serialize_ordering, symmetrize)
-from helpers import random_graph
+from dirlap import graphs
+from helpers import (random_graph, reference_graph_error,
+                     reference_parse_edge_list)
 
 
 class TestParseEdgeList:
@@ -59,6 +67,134 @@ class TestParseEdgeList:
         assert graph.edges == ((0, 1), (2, 0))
 
 
+# labels hold a comma, a double quote, a '#' or '%' that starts a line only
+# when the label comes first, and non-ASCII text
+LABELS = ["a", "b", "c", "d", "a,1", '"q', "x#y", "#h", "%p", "0", "\u00e9"]
+WEIGHTS = ["0.5", "0.25", "1e-1", ".75", "0.999", "nan", "0_5", "1", "0",
+           "-0.5", "x", "inf"]
+SEPARATORS = [" ", "\t", "  ", "\xa0", "\u2009", "\u3000"]
+LINE_ENDS = ["\n", "\r\n", "\r", "\x0c", "\x1c", "\x85", "\u2028"]
+
+
+@st.composite
+def edge_list_lines(draw):
+    kind = draw(st.sampled_from(["data", "data", "data", "comment", "blank"]))
+    pad = st.sampled_from(["", " ", "\t", "\xa0"])
+    if kind == "blank":
+        return draw(pad)
+    if kind == "comment":
+        return draw(pad) + draw(st.sampled_from("#%")) + draw(
+            st.sampled_from(["", " note", "a b", "a b 0.5"]))
+    tokens = [draw(st.sampled_from(LABELS)) for _ in range(draw(st.integers(1, 4)))]
+    if len(tokens) >= 3:
+        tokens[2] = draw(st.sampled_from(WEIGHTS))
+    line = tokens[0]
+    for token in tokens[1:]:
+        line += draw(st.sampled_from(SEPARATORS)) + token
+    return draw(pad) + line + draw(pad)
+
+
+@st.composite
+def edge_list_texts(draw):
+    lines = draw(st.lists(edge_list_lines(), max_size=40))
+    text = "".join(line + draw(st.sampled_from(LINE_ENDS)) for line in lines)
+    if lines and draw(st.booleans()):
+        text = text.rstrip("".join(LINE_ENDS))
+    return text
+
+
+def parse_outcome(parse, text, weighted):
+    """What a parser makes of ``text``: the parsed data or the error."""
+    try:
+        result = parse(text, weighted=weighted)
+    except EdgeListError as exc:
+        return "error", str(exc), exc.line_number
+    if isinstance(result, tuple):       # the reference parser
+        labels, edges, weights, loops = result
+        return labels, [list(e) for e in edges], weights, loops
+    graph = result.graph
+    weights = graph.edge_weights.tolist() if graph.is_weighted else None
+    return graph.labels, graph.edge_index.tolist(), weights, result.self_loops_dropped
+
+
+def assert_parsers_agree(text, weighted):
+    assert (parse_outcome(parse_edge_list, text, weighted)
+            == parse_outcome(reference_parse_edge_list, text, weighted))
+
+
+class TestParseOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(edge_list_texts(), st.booleans(), st.integers(1, 6), st.booleans())
+    def test_matches_line_by_line_parser(self, text, weighted, chunk, as_lines):
+        source = text.splitlines(keepends=True) if as_lines else text
+        with mock.patch.object(graphs, "_CHUNK_LINES", chunk):
+            assert_parsers_agree(source, weighted)
+
+    @pytest.mark.parametrize("text, weighted, message", [
+        # errors of different kinds: the first line in line order wins
+        ("a b 0.5\nc d 2\ne f\n", True, "line 2: weight 2.0 outside (0, 1)"),
+        ("a b 0.5\ne f\nc d 2\n", True, "line 2: expected 'src dst weight'"),
+        ("a b 0.5\nc d x\na b 0.4\n", True, "line 2: bad weight 'x'"),
+        ("a b 0.5\na b 0.4\nc d x\n", True, "line 2: duplicate edge a -> b"),
+        ("a b 0.5\na b 0.4\nz\n", True, "line 2: duplicate edge a -> b"),
+        ("a b\nb c d e\nf\n", False, "line 2: expected 'src dst'"),
+        # a weighted duplicate is reported at its second line, with its tokens
+        ("a,1 \"q 0.5\nc d 0.5\na,1\t\"q 0.25\n", True,
+         "line 3: duplicate edge a,1 -> \"q"),
+        # weights go through float()
+        ("a b nan\n", True, "line 1: weight nan outside (0, 1)"),
+        ("a b 0_5\n", True, "line 1: weight 5.0 outside (0, 1)"),
+        ("a b 1e-1\nb a 1\n", True, "line 2: weight 1.0 outside (0, 1)"),
+    ])
+    @pytest.mark.parametrize("chunk", [1, 2, graphs._CHUNK_LINES])
+    def test_error_precedence(self, text, weighted, message, chunk):
+        with mock.patch.object(graphs, "_CHUNK_LINES", chunk):
+            with pytest.raises(EdgeListError) as caught:
+                parse_edge_list(text, weighted=weighted)
+        assert str(caught.value) == message
+        assert_parsers_agree(text, weighted)
+
+    def test_self_loop_weight_never_parsed(self):
+        result = parse_edge_list("a a x\nb b 5\nb c 0.5\n", weighted=True)
+        assert result.self_loops_dropped == 2
+        assert result.graph.edge_weights.tolist() == [0.5]
+        assert_parsers_agree("a a x\nb b 5\nb c 0.5\n", True)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_texts_longer_than_one_chunk(self, weighted):
+        rng = np.random.default_rng(8)
+        names = [f"v{k}" for k in range(400)] + LABELS
+        pairs = rng.integers(0, len(names), (3 * graphs._CHUNK_LINES + 123, 2))
+        if weighted:    # a repeated edge would be an error
+            pairs = rng.permutation(np.unique(pairs, axis=0))
+        lines = [f"{names[i]} {names[j]} {rng.uniform(0.01, 0.99)!r}"
+                 for i, j in pairs]
+        lines[::97] = ["# comment"] * len(lines[::97])
+        assert len(lines) > 2 * graphs._CHUNK_LINES
+        text = "\n".join(lines)
+        assert parse_outcome(parse_edge_list, text, weighted)[0] != "error"
+        assert_parsers_agree(text, weighted)
+        # past the first chunk: a repeat of the first edge and a bad line
+        tail = [lines[1], "x y 0.5 z"]
+        assert_parsers_agree("\n".join(lines + tail), weighted)
+        assert_parsers_agree("\n".join(lines + tail[::-1]), weighted)
+
+
+class TestParseMemory:
+    def test_peak_memory_bounded(self):
+        # 198k edges: the scale of the benchmark's periodic-1k input
+        theta = gen_clustered_angles(5, 200, 0.2, 1)
+        text = serialize_edge_list(prdrg_sample(PRDRGParams(theta, 5.0, 0.2), 2))
+        assert text.count("\n") > 190_000
+        tracemalloc.start()
+        try:
+            parse_edge_list(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40e6
+
+
 class TestDirectedGraphInvariants:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -80,6 +216,69 @@ class TestDirectedGraphInvariants:
         graph = DirectedGraph(3, ((2, 0), (0, 1)), weights=(0.9, 0.1))
         assert graph.edges == ((0, 1), (2, 0))
         assert graph.weights == (0.1, 0.9)
+
+
+def construction_outcome(n, edges, weights):
+    try:
+        return DirectedGraph(n, edges, weights)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestArrayConstruction:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 6), st.booleans(), st.booleans(), st.data())
+    def test_pairs_and_array_agree(self, n, in_range, weighted, data):
+        node = st.integers(0, max(n - 1, 0)) if in_range else st.integers(-1, n)
+        pairs = data.draw(st.lists(st.tuples(node, node), max_size=12))
+        weights = None
+        if weighted:
+            weights = data.draw(st.lists(
+                st.sampled_from([0.25, 0.5, 0.75, 0.0, 1.0, float("nan")]),
+                min_size=len(pairs), max_size=len(pairs)))
+        from_pairs = construction_outcome(n, tuple(pairs), weights)
+        from_array = construction_outcome(
+            n, np.array(pairs, dtype=np.int64).reshape(-1, 2),
+            None if weights is None else np.array(weights))
+        assert from_pairs == from_array
+        expected = reference_graph_error(n, pairs, weights)
+        if expected is None:
+            assert from_pairs.edges == tuple(sorted(set(pairs)))
+            if weighted:
+                assert from_pairs.weights == tuple(
+                    w for _, w in sorted(zip(pairs, weights)))
+        else:
+            assert from_pairs == expected
+
+    def test_sorts_targets_within_a_source(self):
+        graph = DirectedGraph(3, np.array([[0, 2], [0, 1], [1, 0]]))
+        assert graph.edges == ((0, 1), (0, 2), (1, 0))
+
+    def test_input_array_is_copied(self):
+        idx = np.array([[1, 0], [0, 1]])
+        graph = DirectedGraph(2, idx)
+        idx[0, 0] = 0
+        assert graph.edges == ((0, 1), (1, 0))
+        assert idx.flags.writeable and not graph.edge_index.flags.writeable
+
+    def test_tuple_views_built_on_first_use(self):
+        graph = DirectedGraph(3, np.array([[2, 0], [0, 1]]), np.array([0.9, 0.1]))
+        assert "edges" not in graph.__dict__ and "weights" not in graph.__dict__
+        assert graph.edges == ((0, 1), (2, 0)) and graph.weights == (0.1, 0.9)
+        assert graph.edges is graph.edges
+        assert all(type(i) is int for pair in graph.edges for i in pair)
+        assert not graph.edge_weights.flags.writeable
+
+    def test_immutable(self):
+        graph = DirectedGraph(2, ((0, 1),))
+        with pytest.raises(AttributeError):
+            graph.n = 3
+
+    def test_reciprocated_mask(self):
+        graph = DirectedGraph(4, ((0, 1), (1, 0), (1, 2), (3, 2), (2, 3)))
+        assert graph.reciprocated.tolist() == [True, True, False, True, True]
+        assert not graph.reciprocated.flags.writeable
+        assert DirectedGraph(2, ()).reciprocated.shape == (0,)
 
 
 class TestEdgeIndex:

@@ -1,13 +1,17 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dirlap import (DirectedGraph, NumericalError, PRDRGParams, TrophicParams,
                     compare_models, fit_gamma_density, fit_gamma_mle,
-                    gen_clustered_angles, gen_trophic_levels,
-                    magnetic_algorithm, prdrg_expected_edges, prdrg_loglik,
-                    prdrg_sample, select_g, trophic_algorithm,
-                    trophic_expected_edges, trophic_sample)
+                    gen_clustered_angles, gen_trophic_levels, largest_scc,
+                    largest_wcc, magnetic_algorithm, parse_edge_list,
+                    prdrg_expected_edges, prdrg_loglik, prdrg_sample, select_g,
+                    trophic_algorithm, trophic_expected_edges, trophic_sample)
 from helpers import random_graph
+
+FOOD_WEB = Path(__file__).parent / "fixtures" / "food_web_scc.edges"
 
 
 class TestFitGammaMle:
@@ -226,3 +230,52 @@ class TestCompareModels:
         graph = prdrg_sample(PRDRGParams(theta, 3.0, 1 / 3), 19)
         report = compare_models(graph)
         assert report.prdrg_fit.gamma_density is None
+
+    def test_tuple_views_stay_unbuilt(self):
+        # the pipeline reads the edge arrays only: no Python object per edge
+        parsed = parse_edge_list(FOOD_WEB.read_text(encoding="utf-8")).graph
+        sub, _ = largest_scc(parsed)
+        compare_models(sub)
+        for graph in (parsed, sub):
+            assert "edges" not in graph.__dict__
+            assert "weights" not in graph.__dict__
+
+
+def invariance_graphs():
+    """The food web and two planted graphs, each weakly connected."""
+    parsed = parse_edge_list(FOOD_WEB.read_text(encoding="utf-8")).graph
+    food_web, _ = largest_scc(parsed)
+    theta = gen_clustered_angles(3, 20, 0.2, 31)
+    pair = prdrg_sample(PRDRGParams(theta, 5.0, 1 / 3), 32)
+    level, _ = largest_wcc(trophic_sample(
+        TrophicParams(gen_trophic_levels(3, 20, 0.2, 33), 5.0), 34))
+    return {"food-web": food_web, "pair-3x20": pair, "level-3x20": level}
+
+
+INVARIANCE_GRAPHS = invariance_graphs()
+
+
+class TestCompareInvariance:
+    @pytest.mark.parametrize("name", sorted(INVARIANCE_GRAPHS))
+    def test_reversing_every_edge(self, name):
+        graph = INVARIANCE_GRAPHS[name]
+        reversed_graph = DirectedGraph(graph.n, graph.edge_index[:, ::-1],
+                                       None, graph.labels)
+        report, mirrored = compare_models(graph), compare_models(reversed_graph)
+        assert mirrored.log_ratio == pytest.approx(report.log_ratio, rel=1e-9)
+        assert mirrored.verdict == report.verdict
+        h = report.levels.h
+        np.testing.assert_allclose(mirrored.levels.h, h.max() - h, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("name", sorted(INVARIANCE_GRAPHS))
+    def test_relabelling_nodes(self, name):
+        graph = INVARIANCE_GRAPHS[name]
+        perm = np.random.default_rng(35).permutation(graph.n)
+        labels = [None] * graph.n
+        for i, label in enumerate(graph.labels or map(str, range(graph.n))):
+            labels[perm[i]] = label
+        moved = DirectedGraph(graph.n, perm[graph.edge_index], None, labels)
+        report, relabelled = compare_models(graph), compare_models(moved)
+        assert relabelled.log_ratio == pytest.approx(report.log_ratio, rel=1e-9)
+        assert relabelled.verdict == report.verdict
+        assert relabelled.best_g == report.best_g
