@@ -22,10 +22,9 @@ from .models import (KernelModel, PRDRGParams, TrophicParams,
                      trophic_loglik, trophic_sample, weighted_trophic_logdensity)
 from .spectral import (DegeneracyWarning, MagneticLaplacian, NumericalError,
                        PhaseAssignment, TrophicAssignment,
-                       build_magnetic_laplacian, build_trophic_system,
-                       frustration, magnetic_algorithm, quadratic_form,
-                       smallest_eigenpair, trophic_algorithm,
-                       trophic_incoherence)
+                       build_magnetic_laplacian, frustration,
+                       magnetic_algorithm, quadratic_form, smallest_eigenpair,
+                       trophic_algorithm, trophic_incoherence)
 
 __version__ = "0.1.0"
 
@@ -36,9 +35,8 @@ __all__ = [
     "serialize_ordering", "symmetrize",
     "DegeneracyWarning", "MagneticLaplacian", "NumericalError",
     "PhaseAssignment", "TrophicAssignment", "build_magnetic_laplacian",
-    "build_trophic_system", "frustration", "magnetic_algorithm",
-    "quadratic_form", "smallest_eigenpair", "trophic_algorithm",
-    "trophic_incoherence",
+    "frustration", "magnetic_algorithm", "quadratic_form",
+    "smallest_eigenpair", "trophic_algorithm", "trophic_incoherence",
     "KernelModel", "PRDRGParams", "TrophicParams", "gen_clustered_angles",
     "gen_trophic_levels", "kernel_loglik", "prdrg_expected_edges",
     "prdrg_loglik", "prdrg_pair_probs", "prdrg_sample", "trophic_edge_prob",

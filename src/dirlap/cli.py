@@ -56,10 +56,6 @@ class _StageError(Exception):
         self.code = code
 
 
-def _fail(stage: str, message: str, code: int) -> _StageError:
-    return _StageError(stage, message, code)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run parameters shared by the analysis commands."""
@@ -69,7 +65,6 @@ class RunConfig:
     g_candidates: tuple[tuple[str, float], ...]   # (label, value)
     gamma_min: float
     gamma_max: float
-    seed: int
     out_dir: Path
     weighted: bool
 
@@ -109,8 +104,8 @@ def _parse_single_g(token: str) -> float:
     try:
         return _parse_g_list(token)[0][1]
     except (ValueError, ZeroDivisionError) as exc:
-        raise _fail("arguments", f"bad rotation parameter {token!r}: {exc}",
-                    EXIT_INPUT) from exc
+        raise _StageError("arguments", f"bad rotation parameter {token!r}: {exc}",
+                          EXIT_INPUT) from exc
 
 
 def _config_from_args(args) -> RunConfig:
@@ -122,25 +117,24 @@ def _config_from_args(args) -> RunConfig:
             g_candidates=candidates,
             gamma_min=args.gamma_min,
             gamma_max=args.gamma_max,
-            seed=args.seed,
             out_dir=Path(getattr(args, "out_dir", ".")),
             weighted=args.weighted,
         )
     except ValueError as exc:
-        raise _fail("arguments", str(exc), EXIT_INPUT) from exc
+        raise _StageError("arguments", str(exc), EXIT_INPUT) from exc
 
 
 def _load_graph(path: Path, weighted: bool):
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
-        raise _fail("read", str(exc), EXIT_INPUT) from exc
+        raise _StageError("read", str(exc), EXIT_INPUT) from exc
     try:
         result = parse_edge_list(text, weighted=weighted)
     except EdgeListError as exc:
-        raise _fail("parse", str(exc), EXIT_INPUT) from exc
+        raise _StageError("parse", str(exc), EXIT_INPUT) from exc
     if result.graph.n == 0:
-        raise _fail("parse", f"no nodes found in {path}", EXIT_INPUT)
+        raise _StageError("parse", f"no nodes found in {path}", EXIT_INPUT)
     if result.self_loops_dropped:
         print(f"notice: dropped {result.self_loops_dropped} self-loop line(s)",
               file=sys.stderr)
@@ -165,15 +159,15 @@ def _select_component(graph: DirectedGraph, policy: str):
                 sub, index_map = largest_wcc(graph)
                 used = "wcc"
     except GraphStructureError as exc:
-        raise _fail("component", str(exc), EXIT_DEGENERATE) from exc
+        raise _StageError("component", str(exc), EXIT_DEGENERATE) from exc
     return sub, index_map, used
 
 
 def _require_analyzable(sub: DirectedGraph):
     if sub.n < 2 or sub.edge_count == 0:
-        raise _fail("component",
-                    f"component has {sub.n} node(s) and {sub.edge_count} edge(s); "
-                    "nothing to analyze", EXIT_DEGENERATE)
+        raise _StageError("component", f"component has {sub.n} node(s) and "
+                          f"{sub.edge_count} edge(s); nothing to analyze",
+                          EXIT_DEGENERATE)
 
 
 def _write(path: Path, content: str):
@@ -183,9 +177,8 @@ def _write(path: Path, content: str):
 
 
 def _curve_csv(gammas, logliks) -> str:
-    lines = ["gamma,loglik"]
-    lines += [f"{GAMMA_FMT % g},{LOGLIK_FMT % v}" for g, v in zip(gammas, logliks)]
-    return "".join(line + "\n" for line in lines)
+    return csv_text(["gamma", "loglik"], ((GAMMA_FMT % g, LOGLIK_FMT % v)
+                                          for g, v in zip(gammas, logliks)))
 
 
 def _format_report(cfg: RunConfig, dataset: str, raw: DirectedGraph,
@@ -237,8 +230,8 @@ def cmd_compare(args) -> int:
     cfg = _config_from_args(args)
     parsed = _load_graph(cfg.input_path, cfg.weighted)
     if parsed.graph.is_weighted:
-        raise _fail("input", "model comparison requires an unweighted edge list",
-                    EXIT_INPUT)
+        raise _StageError("input", "model comparison requires an unweighted edge list",
+                          EXIT_INPUT)
     sub, _, used = _select_component(parsed.graph, cfg.component)
     _require_analyzable(sub)
     report = compare_models(sub, [v for _, v in cfg.g_candidates],
@@ -270,10 +263,9 @@ def _reordered_triples(graph: DirectedGraph, perm: np.ndarray) -> str:
     order = np.lexsort((cols, rows))
     values = (graph.edge_weights[order] if graph.is_weighted
               else np.ones(graph.edge_count))
-    lines = ["row,col,value"]
-    lines += [f"{r},{c},{VALUE_FMT % v}" for r, c, v
-              in zip(rows[order].tolist(), cols[order].tolist(), values.tolist())]
-    return "".join(line + "\n" for line in lines)
+    return csv_text(["row", "col", "value"],
+                    zip(rows[order].tolist(), cols[order].tolist(),
+                        (VALUE_FMT % v for v in values.tolist())))
 
 
 def cmd_reorder(args) -> int:
@@ -283,8 +275,8 @@ def cmd_reorder(args) -> int:
     _require_analyzable(sub)
     if args.method == "magnetic":
         if sub.is_weighted:
-            raise _fail("input", "magnetic reordering requires an "
-                        "unweighted edge list", EXIT_INPUT)
+            raise _StageError("input", "magnetic reordering requires an "
+                              "unweighted edge list", EXIT_INPUT)
         if args.g is not None:
             g = _parse_single_g(args.g)
             score = magnetic_algorithm(sub, g).theta
@@ -304,10 +296,10 @@ def cmd_reorder(args) -> int:
 
 def cmd_generate(args) -> int:
     if args.clusters < 1 or args.cluster_size < 1:
-        raise _fail("arguments", "clusters and cluster-size must be >= 1",
-                    EXIT_INPUT)
+        raise _StageError("arguments", "clusters and cluster-size must be >= 1",
+                          EXIT_INPUT)
     if args.noise < 0 or args.gamma < 0:
-        raise _fail("arguments", "noise and gamma must be >= 0", EXIT_INPUT)
+        raise _StageError("arguments", "noise and gamma must be >= 0", EXIT_INPUT)
     attr_seed, edge_seed = np.random.SeedSequence(args.seed).spawn(2)
     if args.model == "prdrg":
         # one rotation step per cluster; a single cluster has no step to
@@ -315,7 +307,7 @@ def cmd_generate(args) -> int:
         g = (_parse_single_g(args.g) if args.g is not None
              else 1.0 / max(args.clusters, 2))
         if not 0.0 < g <= 0.5:
-            raise _fail("arguments", f"g={g:g} outside (0, 1/2]", EXIT_INPUT)
+            raise _StageError("arguments", f"g={g:g} outside (0, 1/2]", EXIT_INPUT)
         attributes = gen_clustered_angles(args.clusters, args.cluster_size,
                                           args.noise, attr_seed)
         graph = prdrg_sample(PRDRGParams(attributes, args.gamma, g), edge_seed)
@@ -350,12 +342,12 @@ def _read_attributes(path: Path, graph: DirectedGraph) -> np.ndarray:
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
-        raise _fail("read", str(exc), EXIT_INPUT) from exc
+        raise _StageError("read", str(exc), EXIT_INPUT) from exc
     try:
         rows = [row for row in csv.reader(io.StringIO(text))
                 if any(field.strip() for field in row)]
     except csv.Error as exc:
-        raise _fail("attributes", f"unreadable CSV: {exc}", EXIT_INPUT) from exc
+        raise _StageError("attributes", f"unreadable CSV: {exc}", EXIT_INPUT) from exc
     if rows and rows[0][0].strip().lower() == "label":
         rows = rows[1:]
     values: dict[str, float] = {}
@@ -364,17 +356,17 @@ def _read_attributes(path: Path, graph: DirectedGraph) -> np.ndarray:
             label, value = row
             values[label.strip()] = float(value)
         except ValueError:
-            raise _fail("attributes", f"bad attribute row {lineno}: {row!r}",
-                        EXIT_INPUT) from None
+            raise _StageError("attributes", f"bad attribute row {lineno}: {row!r}",
+                              EXIT_INPUT) from None
     if len(values) != graph.n:
-        raise _fail("attributes", f"{len(values)} attribute value(s) for "
-                    f"{graph.n} node(s)", EXIT_INPUT)
+        raise _StageError("attributes", f"{len(values)} attribute value(s) for "
+                          f"{graph.n} node(s)", EXIT_INPUT)
     out = np.empty(graph.n)
     for i in range(graph.n):
         label = graph.label(i)
         if label not in values:
-            raise _fail("attributes", f"no attribute value for node {label!r}",
-                        EXIT_INPUT)
+            raise _StageError("attributes", f"no attribute value for node {label!r}",
+                              EXIT_INPUT)
         out[i] = values[label]
     return out
 
@@ -387,11 +379,11 @@ def cmd_curve(args) -> int:
     density_expected = None
     if args.model == "prdrg":
         if args.g is None:
-            raise _fail("arguments", "--g is required for the prdrg curve",
-                        EXIT_INPUT)
+            raise _StageError("arguments", "--g is required for the prdrg curve",
+                              EXIT_INPUT)
         if graph.is_weighted:
-            raise _fail("input", "the prdrg curve requires an unweighted "
-                        "edge list", EXIT_INPUT)
+            raise _StageError("input", "the prdrg curve requires an unweighted "
+                              "edge list", EXIT_INPUT)
         g = _parse_single_g(args.g)
         loglik = make_prdrg_loglik(graph, attributes, g)
         density_expected = make_prdrg_expected_edges(attributes, g)
@@ -402,7 +394,7 @@ def cmd_curve(args) -> int:
         loglik = make_trophic_loglik(graph, attributes)
         density_expected = make_trophic_expected_edges(attributes)
     if args.grid_points < 1:
-        raise _fail("arguments", "grid-points must be >= 1", EXIT_INPUT)
+        raise _StageError("arguments", "grid-points must be >= 1", EXIT_INPUT)
     # the table is the fit's own grid, so no gamma is probed twice
     mle = fit_gamma_mle(loglik, cfg.gamma_min, cfg.gamma_max,
                         grid_points=args.grid_points)
@@ -419,11 +411,10 @@ def cmd_curve(args) -> int:
     mle_mark = int(np.argmin(np.abs(np.log(grid) - np.log(mle.gamma))))
     density_mark = (int(np.argmin(np.abs(np.log(grid) - np.log(density_gamma))))
                     if density_gamma is not None else None)
-    lines = ["gamma,loglik,is_mle,is_density_match"]
-    for k, (x, v) in enumerate(zip(grid, values)):
-        lines.append(f"{GAMMA_FMT % x},{LOGLIK_FMT % v},"
-                     f"{int(k == mle_mark)},{int(k == density_mark) if density_mark is not None else 0}")
-    _write(Path(args.out), "".join(line + "\n" for line in lines))
+    rows = ((GAMMA_FMT % x, LOGLIK_FMT % v, int(k == mle_mark),
+             int(k == density_mark)) for k, (x, v) in enumerate(zip(grid, values)))
+    _write(Path(args.out),
+           csv_text(["gamma", "loglik", "is_mle", "is_density_match"], rows))
     return EXIT_OK
 
 
@@ -437,7 +428,6 @@ def _add_common(parser: argparse.ArgumentParser, with_outdir: bool = True):
                         help="comma-separated rotation candidates, e.g. 1/2,1/3")
     parser.add_argument("--gamma-min", type=float, default=GAMMA_MIN)
     parser.add_argument("--gamma-max", type=float, default=GAMMA_MAX)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--weighted", action="store_true",
                         help="parse a third column as edge weights in (0, 1)")
     if with_outdir:

@@ -140,13 +140,6 @@ class DirectedGraph:
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels is not None else str(i)
 
-    def adjacency(self) -> np.ndarray:
-        """Dense adjacency matrix; entries are weights when present, else 0/1."""
-        a = np.zeros((self.n, self.n))
-        idx = self.edge_index
-        a[idx[:, 0], idx[:, 1]] = self.edge_weights if self.is_weighted else 1.0
-        return a
-
 
 def _pair_array(edges) -> np.ndarray:
     """(m, 2) int64 array of a sequence of pairs or an (m, 2) array."""

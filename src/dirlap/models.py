@@ -301,42 +301,61 @@ def prdrg_expected_edges(theta, gamma: float, g: float) -> float:
 # independent-edge models: P(edge i -> j) = 1 / (1 + exp(gamma * penalty_ij))
 
 
-def _edge_prob(x, out=None):
-    """1 / (1 + exp(x)) for x >= 0, as e / (1 + e) with e = exp(-x);
-    written into ``out`` when given, which may be ``x`` itself."""
-    e = np.exp(np.negative(x, out=out), out=out)
-    return np.divide(e, 1.0 + e, out=out)
+def _edge_prob(x: np.ndarray) -> np.ndarray:
+    """P(edge) = 1 / (1 + exp(x)) for x >= 0, written over the float array x."""
+    with np.errstate(over="ignore"):    # exp(x) = inf gives probability 0
+        np.exp(x, out=x)
+    return np.reciprocal(np.add(x, 1.0, out=x), out=x)
+
+
+def _absent_neglogprob(x: np.ndarray) -> np.ndarray:
+    """-log P(no edge) = log1p(exp(-x)) for x >= 0, written over x."""
+    return np.log1p(np.exp(np.negative(x, out=x), out=x), out=x)
+
+
+def _level_penalty(h: np.ndarray) -> np.ndarray:
+    """The n x n penalties (h_j - h_i - 1)^2, built in one array."""
+    penalty = np.subtract.outer(h, h)       # h_i - h_j, the negated gap
+    np.add(penalty, 1.0, out=penalty)
+    return np.square(penalty, out=penalty)
+
+
+class _PairPenalties:
+    """Sums over ordered pairs i != j of f(gamma * penalty_ij), the
+    independent-edge models' counterpart of _AngleSpectrum and _pair_sum.
+
+    A sum runs over all n^2 entries of the n x n ``penalty`` less the n
+    diagonal ones, so it needs no off-diagonal mask.  ``f`` writes its
+    result over its argument, one work array that every call reuses: call
+    from one thread at a time.
+    """
+
+    def __init__(self, penalty: np.ndarray):
+        self.penalty = penalty
+        self.diagonal = penalty.diagonal().copy()
+        self._work = np.empty_like(penalty)
+
+    def sum(self, f: Callable[[np.ndarray], np.ndarray], gamma: float) -> float:
+        full = f(np.multiply(gamma, self.penalty, out=self._work)).sum()
+        return float(full - f(gamma * self.diagonal).sum())
 
 
 def _make_bernoulli_loglik(graph: DirectedGraph,
                            penalty: np.ndarray) -> Callable[[float], float]:
     """Return gamma -> sum over ordered pairs i != j of log P(A_ij).
 
-    P(A_ij = 1) = 1 / (1 + exp(gamma * penalty_ij)) for the n x n
-    nonnegative ``penalty``; the log-sigmoid stays in the log domain.  The
-    returned function reuses its work arrays, so call it from one thread
-    at a time.
+    P(A_ij = 1) = 1 / (1 + exp(x_ij)) with x_ij = gamma * penalty_ij for the
+    n x n nonnegative ``penalty``.  As log P(edge) = log P(no edge) - x, the
+    sum is -gamma times the edges' penalty, an O(m) sum taken once, plus the
+    pair sum of log P(no edge), kept in the log domain.
     """
-    n = graph.n
-    adj = np.zeros((n, n), dtype=bool)
-    adj[graph.edge_index[:, 0], graph.edge_index[:, 1]] = True
-    off = ~np.eye(n, dtype=bool)
-    penalty, present = penalty[off], adj[off]
-
-    # work arrays kept for every probe: fresh n x n temporaries would be
-    # new pages, faulted in on each call
-    x, log_p = np.empty_like(penalty), np.empty_like(penalty)
+    pairs = _PairPenalties(penalty)
+    edge_penalty = float(penalty[graph.edge_index[:, 0],
+                                 graph.edge_index[:, 1]].sum())
 
     def loglik(gamma: float) -> float:
-        np.multiply(_check_gamma(gamma), penalty, out=x)
-        # log P(absent) = -log1p(exp(-x)), log P(present) = log P(absent) - x
-        np.negative(x, out=log_p)
-        np.exp(log_p, out=log_p)
-        np.log1p(log_p, out=log_p)
-        np.negative(log_p, out=log_p)
-        np.subtract(log_p, x, out=x)
-        np.copyto(log_p, x, where=present)
-        return float(np.sum(log_p))
+        gamma = _check_gamma(gamma)
+        return -gamma * edge_penalty - pairs.sum(_absent_neglogprob, gamma)
 
     return loglik
 
@@ -349,7 +368,7 @@ def trophic_edge_prob(h_i, h_j, gamma: float):
     """
     x = _check_gamma(gamma) * (np.asarray(h_j, dtype=float)
                                - np.asarray(h_i, dtype=float) - 1.0) ** 2
-    out = _edge_prob(x)
+    out = _edge_prob(np.array(x, dtype=float))
     return float(out) if np.isscalar(h_i) and np.isscalar(h_j) else out
 
 
@@ -361,7 +380,7 @@ def make_trophic_loglik(graph: DirectedGraph, h) -> Callable[[float], float]:
     h = np.asarray(h, dtype=float)
     if h.shape != (graph.n,):
         raise ValueError(f"h has length {h.size}, expected {graph.n}")
-    return _make_bernoulli_loglik(graph, (h[None, :] - h[:, None] - 1.0) ** 2)
+    return _make_bernoulli_loglik(graph, _level_penalty(h))
 
 
 def trophic_loglik(graph: DirectedGraph, params: TrophicParams) -> float:
@@ -373,7 +392,7 @@ def trophic_sample(params: TrophicParams, seed) -> DirectedGraph:
     """Draw a graph with one independent Bernoulli edge per ordered pair."""
     h = params.h
     n = len(h)
-    prob = _edge_prob(params.gamma * (h[None, :] - h[:, None] - 1.0) ** 2)
+    prob = _edge_prob(params.gamma * _level_penalty(h))
     u = np.random.default_rng(seed).random((n, n))
     adj = (u < prob) & ~np.eye(n, dtype=bool)
     return DirectedGraph(n, np.argwhere(adj))
@@ -385,16 +404,8 @@ def make_trophic_expected_edges(h) -> Callable[[float], float]:
     The returned function reuses one n x n work array, so call it from one
     thread at a time.
     """
-    h = np.asarray(h, dtype=float)
-    penalty = (h[None, :] - h[:, None] - 1.0) ** 2
-    prob = np.empty_like(penalty)   # reused, as in _make_bernoulli_loglik
-
-    def expected(gamma: float) -> float:
-        _edge_prob(np.multiply(_check_gamma(gamma), penalty, out=prob), out=prob)
-        np.fill_diagonal(prob, 0.0)
-        return float(prob.sum())
-
-    return expected
+    pairs = _PairPenalties(_level_penalty(np.asarray(h, dtype=float)))
+    return lambda gamma: pairs.sum(_edge_prob, _check_gamma(gamma))
 
 
 def trophic_expected_edges(h, gamma: float) -> float:

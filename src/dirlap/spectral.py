@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 from scipy.sparse import csr_matrix, diags
-from scipy.sparse.linalg import lobpcg
+from scipy.sparse.linalg import cg, lobpcg
 
 from .graphs import (DirectedGraph, GraphStructureError, SymmetrizedView,
                      _freeze_csr, csv_text, is_weakly_connected, symmetrize)
@@ -36,6 +36,11 @@ _LOBPCG_ACCEPT = 1e-11      # largest residual norm accepted without the dense p
 _LOBPCG_TIE_MARGIN = 1e-6   # closer Ritz values may be a tie: the dense path decides
 _LOBPCG_MAXITER = 500
 _LOBPCG_SEED = 0            # fixed start block, so a g's phases depend on g alone
+
+# Level solve: Jacobi-preconditioned conjugate gradients.  The residual
+# check after the solve, not CG's own stopping test, decides success.
+_CG_RTOL = 1e-14
+_CG_MAXITER_PER_NODE = 10
 
 
 class DegeneracyWarning(UserWarning):
@@ -250,22 +255,6 @@ def _magnetic_phases(sym: SymmetrizedView, g: float) -> PhaseAssignment:
     return PhaseAssignment(theta=theta, g=float(g), smallest_eigenvalue=value)
 
 
-def build_trophic_system(graph: DirectedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Weighted degree system for level fitting.
-
-    Returns (lam, chi, omega) where omega is total in+out weight per node,
-    chi the in-minus-out imbalance, and lam = diag(omega) - A - A^T, a
-    symmetric matrix with zero row sums.
-    """
-    a = graph.adjacency()
-    w_in = a.sum(axis=0)
-    w_out = a.sum(axis=1)
-    omega = w_in + w_out
-    chi = w_in - w_out
-    lam = np.diag(omega) - a - a.T
-    return lam, chi, omega
-
-
 def trophic_incoherence(graph: DirectedGraph, h) -> float:
     """Normalized squared deviation of edges from a unit level climb.
 
@@ -286,9 +275,11 @@ def trophic_incoherence(graph: DirectedGraph, h) -> float:
 def trophic_algorithm(graph: DirectedGraph) -> TrophicAssignment:
     """Solve for the levels that minimize trophic incoherence.
 
-    The system lam @ h = chi is singular with the constant vector in its
-    kernel, so it is solved with a bordered system enforcing sum(h) = 0
-    and the result is then shifted so min(h) = 0.  Requires at least one
+    The levels solve lam @ h = chi, where omega is the total in+out weight
+    per node, chi the in-minus-out imbalance and lam = diag(omega) - A - A^T.
+    lam is singular with the constant vector in its kernel and chi is
+    orthogonal to it, so conjugate gradients on the sparse lam find a
+    solution; it is then shifted so min(h) = 0.  Requires at least one
     edge and a weakly connected graph (otherwise the kernel is larger and
     levels are not comparable across components).
     """
@@ -300,15 +291,17 @@ def trophic_algorithm(graph: DirectedGraph) -> TrophicAssignment:
         raise GraphStructureError(
             "graph is not weakly connected; extract a connected component "
             "(e.g. largest_wcc) before computing levels")
-    lam, chi, _ = build_trophic_system(graph)
     n = graph.n
-    bordered = np.zeros((n + 1, n + 1))
-    bordered[:n, :n] = lam
-    bordered[:n, n] = 1.0
-    bordered[n, :n] = 1.0
-    rhs = np.append(chi, 0.0)
-    solution = np.linalg.solve(bordered, rhs)
-    h = solution[:n]
+    src, dst = graph.edge_index.T
+    w = graph.edge_weights if graph.is_weighted else np.ones(graph.edge_count)
+    w_in = np.bincount(dst, w, minlength=n)
+    w_out = np.bincount(src, w, minlength=n)
+    omega, chi = w_in + w_out, w_in - w_out
+    a = csr_matrix((w, (src, dst)), shape=(n, n))
+    lam = (diags(omega) - a - a.T).tocsr()
+    # every node of a connected graph has an edge, so omega > 0
+    h, _ = cg(lam, chi, rtol=_CG_RTOL, atol=0.0, maxiter=_CG_MAXITER_PER_NODE * n,
+              M=diags(1.0 / omega))
     residual = np.linalg.norm(lam @ h - chi)
     if residual > 1e-9 * (1.0 + np.linalg.norm(chi)):
         raise NumericalError(

@@ -2,9 +2,66 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
-from dirlap import DirectedGraph, EdgeListError
+from dirlap import (DirectedGraph, EdgeListError, TrophicParams,
+                    gen_trophic_levels, largest_wcc, parse_edge_list,
+                    trophic_algorithm, trophic_sample)
+
+FOOD_WEB = Path(__file__).parent / "fixtures" / "food_web_scc.edges"
+
+
+def adjacency(graph: DirectedGraph) -> np.ndarray:
+    """Dense adjacency matrix; entries are weights when present, else 0/1."""
+    a = np.zeros((graph.n, graph.n))
+    idx = graph.edge_index
+    a[idx[:, 0], idx[:, 1]] = graph.edge_weights if graph.is_weighted else 1.0
+    return a
+
+
+def build_trophic_system(graph: DirectedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense weighted degree system for level fitting: the oracle for the
+    sparse solve in dirlap.trophic_algorithm.
+
+    Returns (lam, chi, omega) where omega is total in+out weight per node,
+    chi the in-minus-out imbalance, and lam = diag(omega) - A - A^T, a
+    symmetric matrix with zero row sums.
+    """
+    a = adjacency(graph)
+    w_in = a.sum(axis=0)
+    w_out = a.sum(axis=1)
+    omega = w_in + w_out
+    chi = w_in - w_out
+    lam = np.diag(omega) - a - a.T
+    return lam, chi, omega
+
+
+def dense_trophic_levels(graph: DirectedGraph) -> np.ndarray:
+    """Levels from the dense bordered system [[lam, 1], [1^T, 0]] that
+    enforces sum(h) = 0, shifted so min(h) = 0."""
+    lam, chi, _ = build_trophic_system(graph)
+    n = graph.n
+    bordered = np.zeros((n + 1, n + 1))
+    bordered[:n, :n] = lam
+    bordered[:n, n] = 1.0
+    bordered[n, :n] = 1.0
+    h = np.linalg.solve(bordered, np.append(chi, 0.0))[:n]
+    return h - h.min()
+
+
+def level_fixtures():
+    """(graph, levels) pairs: the food web and planted level-model graphs,
+    with fitted levels, plus each planted graph with its planted levels."""
+    graph = parse_edge_list(FOOD_WEB.read_text(encoding="utf-8")).graph
+    yield graph, trophic_algorithm(graph).h
+    for clusters, size, seed in ((2, 60, 1), (3, 60, 2), (5, 50, 3), (6, 46, 4)):
+        planted = gen_trophic_levels(clusters, size, 0.2, seed)
+        graph = trophic_sample(TrophicParams(planted, 5.0), seed + 100)
+        yield graph, planted
+        sub, _ = largest_wcc(graph)
+        yield sub, trophic_algorithm(sub).h
 
 
 def random_graph(rng: np.random.Generator, n: int, p: float) -> DirectedGraph:

@@ -116,8 +116,7 @@ class TestCompareCommand:
         first = tmp_path / "a"
         second = tmp_path / "b"
         for out in (first, second):
-            assert run("compare", "--input", FOOD_WEB, "--seed", 7,
-                       "--out-dir", out) == 0
+            assert run("compare", "--input", FOOD_WEB, "--out-dir", out) == 0
         for name in ("report.txt", "summary.csv", "phases.csv", "levels.csv",
                      "likelihood_curve_prdrg.csv", "likelihood_curve_trophic.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes(), name

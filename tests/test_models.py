@@ -10,16 +10,15 @@ from scipy.integrate import quad
 
 from dirlap import (DirectedGraph, KernelModel, NumericalError, PRDRGParams,
                     TrophicParams, frustration, gen_clustered_angles,
-                    gen_trophic_levels, kernel_loglik, largest_wcc,
-                    magnetic_algorithm, parse_edge_list, prdrg_expected_edges,
-                    prdrg_loglik, prdrg_pair_probs, prdrg_sample, symmetrize,
-                    trophic_algorithm, trophic_edge_prob,
-                    trophic_expected_edges, trophic_loglik, trophic_sample,
-                    weighted_trophic_logdensity)
+                    gen_trophic_levels, kernel_loglik, magnetic_algorithm,
+                    parse_edge_list, prdrg_expected_edges, prdrg_loglik,
+                    prdrg_pair_probs, prdrg_sample, symmetrize,
+                    trophic_edge_prob, trophic_expected_edges, trophic_loglik,
+                    trophic_sample, weighted_trophic_logdensity)
 from dirlap.models import (make_prdrg_loglik, make_trophic_expected_edges,
                            make_trophic_loglik)
-from helpers import (exact_prdrg_expected_edges, exact_prdrg_loglik,
-                     random_graph)
+from helpers import (adjacency, exact_prdrg_expected_edges,
+                     exact_prdrg_loglik, level_fixtures, random_graph)
 
 TWO_PI = 2 * np.pi
 FOOD_WEB = Path(__file__).parent / "fixtures" / "food_web_scc.edges"
@@ -29,7 +28,7 @@ ORACLE_GAMMAS = [*np.geomspace(1e-3, 50.0, 32), 1000.0]
 
 def naive_prdrg_loglik(graph, theta, gamma, g):
     """Literal product-form likelihood, safe only for small gamma."""
-    a = graph.adjacency()
+    a = adjacency(graph)
     total = 0.0
     for i in range(graph.n):
         for j in range(i + 1, graph.n):
@@ -48,7 +47,7 @@ def naive_prdrg_loglik(graph, theta, gamma, g):
 
 
 def naive_trophic_loglik(graph, h, gamma):
-    a = graph.adjacency()
+    a = adjacency(graph)
     total = 0.0
     for i in range(graph.n):
         for j in range(graph.n):
@@ -250,7 +249,7 @@ class TestPrdrgSampler:
         params = PRDRGParams(np.zeros(n), 50.0, 0.25)
         graph = prdrg_sample(params, 7)
         pairs = math.comb(n, 2)
-        adj = graph.adjacency()
+        adj = adjacency(graph)
         both = int(((adj == 1) & (adj.T == 1)).sum() / 2)
         single = graph.edge_count - 2 * both
         assert single == 0
@@ -265,7 +264,7 @@ class TestPrdrgSampler:
         graph = prdrg_sample(params, 11)
         probs = prdrg_pair_probs(0.0, 0.0, gamma, g)
         pairs = math.comb(n, 2)
-        adj = graph.adjacency().astype(bool)
+        adj = adjacency(graph).astype(bool)
         iu, ju = np.triu_indices(n, k=1)
         fwd, bwd = adj[iu, ju], adj[ju, iu]
         counts = np.array([
@@ -324,10 +323,10 @@ class TestTrophicLoglik:
         for k in range(21):
             graph = random_graph(rng, 4, 0.4) if k < 20 else DirectedGraph(4, ())
             h = rng.uniform(0, 4, 4)
-            gamma = rng.uniform(0, 5)
-            ours = trophic_loglik(graph, TrophicParams(h, gamma))
-            oracle = naive_trophic_loglik(graph, h, gamma)
-            assert ours == pytest.approx(oracle, rel=1e-10)
+            for gamma in (rng.uniform(0, 5), 0.0):
+                ours = trophic_loglik(graph, TrophicParams(h, gamma))
+                oracle = naive_trophic_loglik(graph, h, gamma)
+                assert ours == pytest.approx(oracle, rel=1e-10)
 
 
 class TestTrophicSampler:
@@ -409,10 +408,10 @@ class TestKernelLoglik:
     def test_euclidean_kernel_matches_enumeration(self):
         rng = np.random.default_rng(22)
         attrs = rng.standard_normal((5, 2))
-        gamma = 0.8
-        model = KernelModel(attrs, lambda x, y: float(np.sum((x - y) ** 2)), gamma)
-        for graph in (random_graph(rng, 5, 0.4), DirectedGraph(5, ())):
-            a = graph.adjacency()
+        for gamma, graph in itertools.product(
+                (0.8, 0.0), (random_graph(rng, 5, 0.4), DirectedGraph(5, ()))):
+            model = KernelModel(attrs, lambda x, y: float(np.sum((x - y) ** 2)), gamma)
+            a = adjacency(graph)
             oracle = 0.0
             for i in range(5):
                 for j in range(5):
@@ -529,7 +528,29 @@ class TestExpectedEdges:
 
 def direct_trophic_expected_edges(h, gamma):
     """The level model's expected edge count with the squared gaps formed
-    anew for this gamma, in the same arithmetic as dirlap.models."""
+    anew for this gamma, in the same arithmetic as dirlap.models: the sum
+    over all n^2 pairs less the diagonal."""
+    h = np.asarray(h, dtype=float)
+    with np.errstate(over="ignore"):
+        prob = 1.0 / (1.0 + np.exp(gamma * (h[None, :] - h[:, None] - 1.0) ** 2))
+    return float(prob.sum() - prob.diagonal().sum())
+
+
+def direct_bernoulli_loglik(graph, h, gamma):
+    """The level model's log-likelihood with every term formed anew, in the
+    same arithmetic as dirlap.models: -gamma times the edges' penalty,
+    less the pair sum of -log P(no edge) over all n^2 pairs less the
+    diagonal."""
+    h = np.asarray(h, dtype=float)
+    penalty = (h[None, :] - h[:, None] - 1.0) ** 2
+    edge_penalty = float(penalty[graph.edge_index[:, 0], graph.edge_index[:, 1]].sum())
+    absent = np.log1p(np.exp(-(gamma * penalty)))
+    return -gamma * edge_penalty - float(absent.sum() - absent.diagonal().sum())
+
+
+def masked_trophic_expected_edges(h, gamma):
+    """The expected edge count as computed before the pair sums were split
+    off: e / (1 + e) with e = exp(-x), summed with a zeroed diagonal."""
     h = np.asarray(h, dtype=float)
     e = np.exp(-(gamma * (h[None, :] - h[:, None] - 1.0) ** 2))
     prob = e / (1.0 + e)
@@ -537,33 +558,21 @@ def direct_trophic_expected_edges(h, gamma):
     return float(prob.sum())
 
 
-def direct_bernoulli_loglik(graph, h, gamma):
-    """The level model's log-likelihood with every n x n term formed anew,
-    in the same arithmetic as dirlap.models."""
+def masked_bernoulli_loglik(graph, h, gamma):
+    """The log-likelihood as computed before the edge term was split off:
+    log P(A_ij) for every off-diagonal pair, picked by the adjacency."""
     h = np.asarray(h, dtype=float)
-    adj = graph.adjacency().astype(bool)
+    adj = adjacency(graph).astype(bool)
     off = ~np.eye(graph.n, dtype=bool)
     x = gamma * ((h[None, :] - h[:, None] - 1.0) ** 2)[off]
     log_absent = -np.log1p(np.exp(-x))
     return float(np.sum(np.where(adj[off], log_absent - x, log_absent)))
 
 
-def level_fixtures():
-    """(graph, levels) pairs: the food web and planted level-model graphs,
-    with fitted levels, plus each planted graph with its planted levels."""
-    graph = parse_edge_list(FOOD_WEB.read_text(encoding="utf-8")).graph
-    yield graph, trophic_algorithm(graph).h
-    for clusters, size, seed in ((2, 60, 1), (3, 60, 2), (5, 50, 3), (6, 46, 4)):
-        planted = gen_trophic_levels(clusters, size, 0.2, seed)
-        graph = trophic_sample(TrophicParams(planted, 5.0), seed + 100)
-        yield graph, planted
-        sub, _ = largest_wcc(graph)
-        yield sub, trophic_algorithm(sub).h
-
-
 class TestLevelModelProbes:
     """One closure per level vector, probed in sequence, equals the terms
-    formed anew for each gamma bit for bit, so reports print as before."""
+    formed anew for each gamma bit for bit, and the former masked n x n
+    sums to 1e-14 relative."""
 
     def test_expected_edges_equal_direct_sum(self):
         for _, h in level_fixtures():
@@ -572,9 +581,29 @@ class TestLevelModelProbes:
                 direct = direct_trophic_expected_edges(h, gamma)
                 assert expected(gamma) == direct
                 assert trophic_expected_edges(h, gamma) == direct
+                assert direct == pytest.approx(
+                    masked_trophic_expected_edges(h, gamma), rel=1e-14, abs=0.0)
 
     def test_loglik_equal_direct_sum(self):
         for graph, h in level_fixtures():
             loglik = make_trophic_loglik(graph, h)
             for gamma in [0.0, *ORACLE_GAMMAS]:
-                assert loglik(gamma) == direct_bernoulli_loglik(graph, h, gamma)
+                direct = direct_bernoulli_loglik(graph, h, gamma)
+                assert loglik(gamma) == direct
+                assert direct == pytest.approx(
+                    masked_bernoulli_loglik(graph, h, gamma), rel=1e-14, abs=0.0)
+
+    def test_warm_probes_allocate_no_pair_array(self):
+        # n = 1000: one n x n float array is 8 MB
+        h = gen_trophic_levels(5, 200, 0.2, 7)
+        graph = trophic_sample(TrophicParams(h, 5.0), 8)
+        probes = (make_trophic_loglik(graph, h), make_trophic_expected_edges(h))
+        for probe in probes:
+            probe(1.0)
+            tracemalloc.start()
+            try:
+                probe(2.0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2**20

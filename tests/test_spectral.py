@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,13 +9,14 @@ from hypothesis import strategies as st
 
 from dirlap import (DEFAULT_G_CANDIDATES, DegeneracyWarning, DirectedGraph,
                     GraphStructureError, PRDRGParams, apply_ordering,
-                    build_magnetic_laplacian, build_trophic_system,
-                    frustration, gen_clustered_angles, largest_scc,
+                    build_magnetic_laplacian, frustration,
+                    gen_clustered_angles, is_weakly_connected, largest_scc,
                     magnetic_algorithm, prdrg_sample, quadratic_form,
                     smallest_eigenpair, symmetrize, trophic_algorithm,
                     trophic_incoherence)
 from dirlap import spectral
-from helpers import (block_cycle_graph, random_graph,
+from helpers import (block_cycle_graph, build_trophic_system,
+                     dense_trophic_levels, level_fixtures, random_graph,
                      random_weakly_connected_graph)
 
 TWO_PI = 2 * np.pi
@@ -272,6 +274,51 @@ class TestTrophicAlgorithm:
             for _ in range(5):
                 bump = result.h + 0.01 * rng.standard_normal(graph.n)
                 assert trophic_incoherence(graph, bump) >= base - 1e-12
+
+
+@st.composite
+def weakly_connected_graphs(draw):
+    """A random weakly connected graph on 2-60 nodes, weighted or not."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    graph = random_weakly_connected_graph(
+        rng, draw(st.integers(2, 60)), draw(st.sampled_from([0.0, 0.05, 0.3])))
+    if not draw(st.booleans()):
+        return graph
+    return DirectedGraph(graph.n, graph.edge_index,
+                         weights=rng.uniform(0.01, 0.99, graph.edge_count))
+
+
+class TestLevelSolveOracle:
+    """Conjugate-gradient levels against the dense bordered solve."""
+
+    def test_fixtures(self):
+        for graph, _ in level_fixtures():
+            if is_weakly_connected(graph):
+                np.testing.assert_allclose(trophic_algorithm(graph).h,
+                                           dense_trophic_levels(graph),
+                                           rtol=0, atol=1e-10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(weakly_connected_graphs())
+    def test_random_graphs(self, graph):
+        np.testing.assert_allclose(trophic_algorithm(graph).h,
+                                   dense_trophic_levels(graph), rtol=0, atol=1e-10)
+
+    def test_long_path_levels_are_exact(self):
+        n = 2000
+        path = DirectedGraph(n, np.column_stack((np.arange(n - 1), np.arange(1, n))))
+        np.testing.assert_allclose(trophic_algorithm(path).h, np.arange(n),
+                                   rtol=0, atol=1e-9)
+
+    def test_sparse_solve_memory(self):
+        graph = block_cycle_graph(np.random.default_rng(71), 5, 800)
+        tracemalloc.start()
+        try:
+            trophic_algorithm(graph)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
 
 class TestTrophicIncoherence:
