@@ -69,8 +69,8 @@ class RunConfig:
     weighted: bool
 
     def __post_init__(self):
-        if not (0 < self.gamma_min < self.gamma_max):
-            raise ValueError("gamma bounds must satisfy 0 < min < max")
+        if not (0 < self.gamma_min < self.gamma_max < np.inf):
+            raise ValueError("gamma bounds must be finite and satisfy 0 < min < max")
         for label, value in self.g_candidates:
             if not 0.0 < value <= 0.5:
                 raise ValueError(f"g candidate {label} outside (0, 1/2]")
@@ -78,16 +78,12 @@ class RunConfig:
 
 def _parse_g_list(text: str) -> tuple[tuple[str, float], ...]:
     out = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if "/" in token:
-            num, den = token.split("/", 1)
-            value = float(num) / float(den)
-        else:
-            value = float(token)
-        out.append((token, value))
+    for token in filter(None, map(str.strip, text.split(","))):
+        num, slash, den = token.partition("/")
+        num, den = float(num), float(den) if slash else 1.0
+        if den == 0.0:
+            raise ValueError(f"g candidate {token} has a zero denominator")
+        out.append((token, num / den))
     if not out:
         raise ValueError("empty g list")
     return tuple(out)
@@ -103,7 +99,7 @@ def _g_label(cfg: RunConfig, value: float) -> str:
 def _parse_single_g(token: str) -> float:
     try:
         return _parse_g_list(token)[0][1]
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise _StageError("arguments", f"bad rotation parameter {token!r}: {exc}",
                           EXIT_INPUT) from exc
 
@@ -143,21 +139,14 @@ def _load_graph(path: Path, weighted: bool):
 
 def _select_component(graph: DirectedGraph, policy: str):
     try:
-        if policy == "scc":
-            sub, index_map = largest_scc(graph)
-            used = "scc"
-        elif policy == "wcc":
+        used = "wcc" if policy == "wcc" else "scc"
+        sub, index_map = (largest_wcc if used == "wcc" else largest_scc)(graph)
+        if policy == "auto" and sub.n < 3:
+            print(f"notice: largest strongly connected component has only "
+                  f"{sub.n} node(s); falling back to the weakly connected one",
+                  file=sys.stderr)
             sub, index_map = largest_wcc(graph)
             used = "wcc"
-        else:
-            sub, index_map = largest_scc(graph)
-            used = "scc"
-            if sub.n < 3:
-                print(f"notice: largest strongly connected component has only "
-                      f"{sub.n} node(s); falling back to the weakly connected one",
-                      file=sys.stderr)
-                sub, index_map = largest_wcc(graph)
-                used = "wcc"
     except GraphStructureError as exc:
         raise _StageError("component", str(exc), EXIT_DEGENERATE) from exc
     return sub, index_map, used
@@ -298,8 +287,9 @@ def cmd_generate(args) -> int:
     if args.clusters < 1 or args.cluster_size < 1:
         raise _StageError("arguments", "clusters and cluster-size must be >= 1",
                           EXIT_INPUT)
-    if args.noise < 0 or args.gamma < 0:
-        raise _StageError("arguments", "noise and gamma must be >= 0", EXIT_INPUT)
+    if not (0 <= args.noise < np.inf and 0 <= args.gamma < np.inf):
+        raise _StageError("arguments", "noise and gamma must be finite and >= 0",
+                          EXIT_INPUT)
     attr_seed, edge_seed = np.random.SeedSequence(args.seed).spawn(2)
     if args.model == "prdrg":
         # one rotation step per cluster; a single cluster has no step to
@@ -373,6 +363,8 @@ def _read_attributes(path: Path, graph: DirectedGraph) -> np.ndarray:
 
 def cmd_curve(args) -> int:
     cfg = _config_from_args(args)
+    if args.grid_points < 1:
+        raise _StageError("arguments", "grid-points must be >= 1", EXIT_INPUT)
     parsed = _load_graph(cfg.input_path, cfg.weighted)
     graph = parsed.graph
     attributes = _read_attributes(Path(args.attributes), graph)
@@ -393,8 +385,6 @@ def cmd_curve(args) -> int:
     else:
         loglik = make_trophic_loglik(graph, attributes)
         density_expected = make_trophic_expected_edges(attributes)
-    if args.grid_points < 1:
-        raise _StageError("arguments", "grid-points must be >= 1", EXIT_INPUT)
     # the table is the fit's own grid, so no gamma is probed twice
     mle = fit_gamma_mle(loglik, cfg.gamma_min, cfg.gamma_max,
                         grid_points=args.grid_points)

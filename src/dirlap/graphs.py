@@ -133,6 +133,11 @@ class DirectedGraph:
         mask.setflags(write=False)
         return mask
 
+    @functools.cached_property
+    def _weakly_connected(self) -> bool:
+        return self.n <= 1 or connected_components(
+            _edge_pattern(self), directed=True, connection="weak")[0] == 1
+
     @property
     def is_weighted(self) -> bool:
         return self.edge_weights is not None
@@ -385,24 +390,21 @@ def largest_wcc(graph: DirectedGraph) -> tuple[DirectedGraph, tuple[int, ...]]:
 
 
 def is_weakly_connected(graph: DirectedGraph) -> bool:
-    if graph.n <= 1:
-        return True
-    ncomp, _ = connected_components(_edge_pattern(graph), directed=True,
-                                    connection="weak")
-    return ncomp == 1
+    """Whether ignoring directions joins every node; computed once per graph."""
+    return graph._weakly_connected
 
 
 @dataclass(frozen=True)
 class SymmetrizedView:
-    """Symmetric half-sum of the adjacency matrix with direction bookkeeping.
+    """Symmetric half-sum of the weight matrix with direction bookkeeping.
 
-    ``wsym`` is (A + A^T)/2 and ``alpha`` the antisymmetric direction
-    indicator: +1 for an unreciprocated edge i -> j, -1 for the reverse,
-    0 when the pair is reciprocated or absent.  Both are CSR matrices on
-    one sparsity pattern (every ordered pair with an edge either way, a
-    reciprocated pair storing an explicit 0 in ``alpha``), so their
-    ``data`` arrays align entry by entry.  ``degrees`` is the dense vector
-    of row sums of ``wsym``.
+    ``wsym`` is (W + W^T)/2 and ``alpha`` is W - W^T for the weight matrix
+    W (the adjacency matrix A when unweighted, where ``alpha`` is +1 for an
+    unreciprocated edge i -> j, -1 for the reverse, 0 when the pair is
+    reciprocated or absent).  Both are CSR matrices on one sparsity pattern
+    (every ordered pair with an edge either way, a reciprocated pair
+    storing an explicit 0 in ``alpha`` when unweighted), so their ``data``
+    arrays align entry by entry.  ``degrees`` holds the row sums of ``wsym``.
     """
 
     wsym: csr_matrix
@@ -426,18 +428,25 @@ def _freeze_csr(mat: csr_matrix) -> None:
 
 
 def symmetrize(graph: DirectedGraph) -> SymmetrizedView:
-    """Build the symmetrized view of an unweighted directed graph in O(m log m)."""
+    """Build the symmetrized view of an unweighted directed graph in O(m log m).
+
+    Weighted graphs are rejected: only the level solve uses their view."""
     if graph.is_weighted:
         raise ValueError("symmetrize is defined for unweighted graphs only")
+    return _symmetrize(graph)
+
+
+def _symmetrize(graph: DirectedGraph) -> SymmetrizedView:
+    """The view of any graph, weights included (1 per edge when unweighted)."""
     n, m = graph.n, graph.edge_count
     src, dst = graph.edge_index[:, 0], graph.edge_index[:, 1]
-    # each edge i -> j puts 1/2 and +1 at (i, j), 1/2 and -1 at (j, i);
-    # keys row * n + col come out of np.unique sorted, i.e. in CSR order
+    # each edge i -> j of weight w puts w/2 and +w at (i, j), w/2 and -w at
+    # (j, i); keys row * n + col come out of np.unique sorted, i.e. in CSR order
     keys, slot = np.unique(np.concatenate([src * n + dst, dst * n + src]),
                            return_inverse=True)
-    wsym = np.bincount(slot, minlength=len(keys)) / 2.0
-    alpha = np.bincount(slot, weights=np.repeat([1.0, -1.0], m),
-                        minlength=len(keys))
+    w = graph.edge_weights if graph.is_weighted else np.ones(m)
+    wsym = np.bincount(slot, weights=np.concatenate([w, w]), minlength=len(keys)) / 2.0
+    alpha = np.bincount(slot, weights=np.concatenate([w, -w]), minlength=len(keys))
     rows, cols = np.divmod(keys, max(n, 1))
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
     return SymmetrizedView(

@@ -12,7 +12,7 @@ from .graphs import DirectedGraph, GraphStructureError
 from .models import (make_prdrg_expected_edges, make_prdrg_loglik,
                      make_trophic_expected_edges, make_trophic_loglik)
 from .spectral import (NumericalError, PhaseAssignment, TrophicAssignment,
-                       _magnetic_phases, _magnetic_view, trophic_algorithm)
+                       _magnetic_phases, _magnetic_view, _trophic_levels)
 
 #: rotation parameters probed by default: up to six directed clusters
 DEFAULT_G_CANDIDATES = (1 / 2, 1 / 3, 1 / 4, 1 / 5, 1 / 6)
@@ -179,28 +179,29 @@ def select_g(graph: DirectedGraph, candidates: Sequence[float] = DEFAULT_G_CANDI
     decay rate is fitted by MLE; the candidate with the highest likelihood
     wins, ties breaking toward the larger rotation (fewer clusters).
     """
+    _, phases = _candidate_phases(graph, candidates)
+    return _select_g(graph, phases, gamma_min, gamma_max)
+
+
+def _candidate_phases(graph: DirectedGraph, candidates: Sequence[float]):
+    """The graph's symmetrized view and the phases of each candidate."""
     if not candidates:
         raise ValueError("need at least one candidate rotation")
     for g in candidates:
         if not 0.0 < g <= 0.5:
             raise ValueError(f"candidate g={g} outside (0, 1/2]")
-    fits: list[GCandidateFit] = []
-    best_key = None
-    best_pack = None
     sym = _magnetic_view(graph)
-    for g in candidates:
-        assignment = _magnetic_phases(sym, g)
-        fit = fit_gamma_mle(make_prdrg_loglik(graph, assignment.theta, g),
-                            gamma_min, gamma_max)
-        candidate = GCandidateFit(float(g), fit.gamma, fit.loglik,
-                                  fit.at_upper_bound, fit.at_lower_bound)
-        fits.append(candidate)
-        key = (fit.loglik, float(g))
-        if best_key is None or key > best_key:
-            best_key = key
-            best_pack = (candidate, assignment, fit)
-    best, assignment, gamma_fit = best_pack
-    return SelectGResult(tuple(fits), best, assignment, gamma_fit)
+    return sym, [_magnetic_phases(sym, g) for g in candidates]
+
+
+def _select_g(graph: DirectedGraph, phases: Sequence[PhaseAssignment],
+              gamma_min: float, gamma_max: float) -> SelectGResult:
+    gamma_fits = [fit_gamma_mle(make_prdrg_loglik(graph, p.theta, p.g),
+                                gamma_min, gamma_max) for p in phases]
+    fits = tuple(GCandidateFit(p.g, f.gamma, f.loglik, f.at_upper_bound, f.at_lower_bound)
+                 for p, f in zip(phases, gamma_fits))
+    best = max(range(len(fits)), key=lambda k: (fits[k].loglik, fits[k].g))
+    return SelectGResult(fits, fits[best], phases[best], gamma_fits[best])
 
 
 @dataclass(frozen=True)
@@ -275,13 +276,15 @@ def compare_models(graph: DirectedGraph,
         raise GraphStructureError("graph has no nodes")
     if graph.is_weighted:
         raise ValueError("model comparison is defined for unweighted graphs")
-    selection = select_g(graph, candidates, gamma_min, gamma_max)
+    sym, phases = _candidate_phases(graph, candidates)
+    levels = _trophic_levels(graph, sym)
+    del sym     # freed before the level model's n x n arrays are made
+    selection = _select_g(graph, phases, gamma_min, gamma_max)
     prdrg_density = _density_estimate(
         make_prdrg_expected_edges(selection.assignment.theta, selection.best.g),
         graph.edge_count, gamma_max)
     prdrg_fit = _model_fit("directed-pRDRG", selection.gamma_fit,
                            prdrg_density, selection.best.g)
-    levels = trophic_algorithm(graph)
     trophic_gamma_fit = fit_gamma_mle(make_trophic_loglik(graph, levels.h),
                                       gamma_min, gamma_max)
     trophic_density = _density_estimate(

@@ -18,7 +18,8 @@ from scipy.sparse import csr_matrix, diags
 from scipy.sparse.linalg import cg, lobpcg
 
 from .graphs import (DirectedGraph, GraphStructureError, SymmetrizedView,
-                     _freeze_csr, csv_text, is_weakly_connected, symmetrize)
+                     _freeze_csr, _symmetrize, csv_text, is_weakly_connected,
+                     symmetrize)
 
 TWO_PI = 2.0 * np.pi
 
@@ -275,35 +276,32 @@ def trophic_incoherence(graph: DirectedGraph, h) -> float:
 def trophic_algorithm(graph: DirectedGraph) -> TrophicAssignment:
     """Solve for the levels that minimize trophic incoherence.
 
-    The levels solve lam @ h = chi, where omega is the total in+out weight
-    per node, chi the in-minus-out imbalance and lam = diag(omega) - A - A^T.
-    lam is singular with the constant vector in its kernel and chi is
-    orthogonal to it, so conjugate gradients on the sparse lam find a
-    solution; it is then shifted so min(h) = 0.  Requires at least one
-    edge and a weakly connected graph (otherwise the kernel is larger and
-    levels are not comparable across components).
+    The levels solve lam @ h = chi, where lam = diag(omega) - A - A^T with
+    omega the total in+out weight per node, and chi is the in-minus-out
+    imbalance: halved, diag(degrees) - wsym and -(row sums of alpha)/2 on
+    the symmetrized view.  lam is singular with the constants as kernel and
+    chi orthogonal to them, so conjugate gradients find a solution, shifted
+    so min(h) = 0.  Requires at least one edge and a weakly connected graph
+    (otherwise levels are not comparable across components).
     """
-    if graph.n == 0:
-        raise GraphStructureError("graph has no nodes")
+    return _trophic_levels(graph, _symmetrize(graph))
+
+
+def _trophic_levels(graph: DirectedGraph, sym: SymmetrizedView) -> TrophicAssignment:
+    """trophic_algorithm from a view of the graph already built."""
     if graph.edge_count == 0:
         raise GraphStructureError("graph has no edges; levels are undefined")
     if not is_weakly_connected(graph):
         raise GraphStructureError(
             "graph is not weakly connected; extract a connected component "
             "(e.g. largest_wcc) before computing levels")
-    n = graph.n
-    src, dst = graph.edge_index.T
-    w = graph.edge_weights if graph.is_weighted else np.ones(graph.edge_count)
-    w_in = np.bincount(dst, w, minlength=n)
-    w_out = np.bincount(src, w, minlength=n)
-    omega, chi = w_in + w_out, w_in - w_out
-    a = csr_matrix((w, (src, dst)), shape=(n, n))
-    lam = (diags(omega) - a - a.T).tocsr()
-    # every node of a connected graph has an edge, so omega > 0
-    h, _ = cg(lam, chi, rtol=_CG_RTOL, atol=0.0, maxiter=_CG_MAXITER_PER_NODE * n,
-              M=diags(1.0 / omega))
-    residual = np.linalg.norm(lam @ h - chi)
-    if residual > 1e-9 * (1.0 + np.linalg.norm(chi)):
+    half_lam = (diags(sym.degrees) - sym.wsym).tocsr()
+    half_chi = -0.5 * np.ravel(sym.alpha.sum(axis=1))
+    # every node of a connected graph has an edge, so degrees > 0
+    h, _ = cg(half_lam, half_chi, rtol=_CG_RTOL, atol=0.0,
+              maxiter=_CG_MAXITER_PER_NODE * sym.n, M=diags(1.0 / sym.degrees))
+    residual = np.linalg.norm(half_lam @ h - half_chi)
+    if residual > 1e-9 * (1.0 + np.linalg.norm(half_chi)):
         raise NumericalError(
             f"level solve residual {residual:.3e} exceeds tolerance")
     h = h - h.min()

@@ -122,6 +122,46 @@ class TestCompareCommand:
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
+class TestArgumentErrors:
+    """Bad numbers are refused before any input is read: exit 1 and one
+    ``error [arguments]`` line, with no traceback."""
+
+    @staticmethod
+    def refused(capsys, *args):
+        code = run(*args)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error [arguments]:"), err
+
+    @pytest.mark.parametrize("command", [
+        ["compare", "--out-dir", "o"],
+        ["reorder", "--method", "magnetic", "--out-dir", "o"],
+        ["curve", "--model", "trophic", "--attributes", "a.csv", "--out", "c.csv"],
+    ], ids=["compare", "reorder", "curve"])
+    def test_zero_denominator_rotation(self, tmp_path, capsys, command):
+        self.refused(capsys, *command, "--input", tmp_path / "missing.edges",
+                     "--g-list", "1/2,1/0")
+
+    @pytest.mark.parametrize("args", [
+        ["compare", "--input", "missing.edges", "--out-dir", "o",
+         "--gamma-max", "inf"],
+        ["generate", "--model", "prdrg", "--gamma", "nan"],
+        ["generate", "--model", "prdrg", "--gamma", "inf"],
+        ["generate", "--model", "trophic", "--gamma", "1", "--noise", "nan"],
+        ["generate", "--model", "trophic", "--gamma", "1", "--noise", "inf"],
+    ], ids=["gamma-max-inf", "gamma-nan", "gamma-inf", "noise-nan", "noise-inf"])
+    def test_non_finite_number(self, tmp_path, capsys, args):
+        if args[0] == "generate":
+            args = args + ["--clusters", 2, "--cluster-size", 3,
+                           "--out", tmp_path / "g.edges"]
+        self.refused(capsys, *args)
+
+    def test_grid_points_checked_before_reading(self, tmp_path, capsys):
+        self.refused(capsys, "curve", "--input", FOOD_WEB, "--model", "trophic",
+                     "--attributes", tmp_path / "missing.csv", "--grid-points", 0,
+                     "--out", tmp_path / "c.csv")
+
+
 class TestCsvLabels:
     """Labels holding a comma or a double quote survive every output file."""
 

@@ -386,6 +386,20 @@ class TestSymmetrize:
             np.testing.assert_allclose(view.wsym.toarray() + view.alpha.toarray() / 2.0,
                                        adjacency(graph), atol=1e-15)
 
+    def test_weighted_view_holds_the_weights(self):
+        # the level solve's view: wsym = (W + W^T)/2, alpha = W - W^T
+        from dirlap.graphs import _symmetrize
+        rng = np.random.default_rng(17)
+        graph = random_graph(rng, 20, 0.3)
+        graph = DirectedGraph(graph.n, graph.edge_index,
+                              weights=rng.uniform(0.01, 0.99, graph.edge_count))
+        view = _symmetrize(graph)
+        w = adjacency(graph)
+        np.testing.assert_allclose(view.wsym.toarray(), (w + w.T) / 2.0, atol=1e-15)
+        np.testing.assert_allclose(view.alpha.toarray(), w - w.T, atol=1e-15)
+        np.testing.assert_allclose(view.degrees, (w.sum(0) + w.sum(1)) / 2.0,
+                                   atol=1e-14)
+
     def test_antisymmetric_alpha_and_degrees(self):
         rng = np.random.default_rng(13)
         graph = random_graph(rng, 20, 0.25)

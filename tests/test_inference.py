@@ -3,10 +3,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dirlap import (DirectedGraph, NumericalError, PRDRGParams, TrophicParams,
-                    compare_models, fit_gamma_density, fit_gamma_mle,
-                    gen_clustered_angles, gen_trophic_levels, largest_scc,
-                    largest_wcc, magnetic_algorithm, parse_edge_list,
+from dirlap import (DirectedGraph, GraphStructureError, NumericalError,
+                    PRDRGParams, TrophicParams, compare_models,
+                    fit_gamma_density, fit_gamma_mle, gen_clustered_angles,
+                    gen_trophic_levels, largest_scc, largest_wcc,
+                    magnetic_algorithm, parse_edge_list,
                     prdrg_expected_edges, prdrg_loglik, prdrg_sample, select_g,
                     trophic_algorithm, trophic_expected_edges, trophic_sample)
 from helpers import random_graph
@@ -136,15 +137,20 @@ class TestSelectG:
         assert result.best.loglik == pytest.approx(fit.loglik, rel=1e-12)
         del rng
 
-    def test_symmetrizes_once_for_all_candidates(self, monkeypatch):
+    @pytest.mark.parametrize("run", [select_g, compare_models])
+    def test_symmetrizes_once_for_all_candidates(self, monkeypatch, run):
         import dirlap.spectral as spectral
         calls = []
-        original = spectral.symmetrize
-        monkeypatch.setattr(spectral, "symmetrize",
-                            lambda graph: calls.append(graph) or original(graph))
+
+        def counted(build):
+            return lambda graph: calls.append(graph) or build(graph)
+
+        # the public builder and the weight-aware one the level solve uses
+        for name in ("symmetrize", "_symmetrize"):
+            monkeypatch.setattr(spectral, name, counted(getattr(spectral, name)))
         graph = prdrg_sample(PRDRGParams(gen_clustered_angles(3, 10, 0.1, 1),
                                          3.0, 1 / 3), 2)
-        select_g(graph, [1 / 2, 1 / 3, 1 / 4, 1 / 5, 1 / 6])
+        run(graph, [1 / 2, 1 / 3, 1 / 4, 1 / 5, 1 / 6])
         assert len(calls) == 1
 
     def test_empty_candidates_rejected(self):
@@ -212,6 +218,27 @@ class TestCompareModels:
         graph = DirectedGraph(2, ((0, 1),), weights=(0.5,))
         with pytest.raises(ValueError):
             compare_models(graph)
+
+    def test_connectivity_computed_once(self, monkeypatch):
+        import dirlap.graphs as graphs
+        runs = []
+        original = graphs.connected_components
+
+        def counted(*args, **kwargs):
+            runs.append(kwargs["connection"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(graphs, "connected_components", counted)
+        theta = gen_clustered_angles(3, 15, 0.2, 14)
+        compare_models(prdrg_sample(PRDRGParams(theta, 3.0, 1 / 3), 15))
+        assert runs == ["weak"]
+
+    @pytest.mark.filterwarnings("ignore::dirlap.DegeneracyWarning")
+    def test_disconnected_rejected(self):
+        two_cycles = DirectedGraph(6, ((0, 1), (1, 2), (2, 0),
+                                       (3, 4), (4, 5), (5, 3)))
+        with pytest.raises(GraphStructureError, match="not weakly connected"):
+            compare_models(two_cycles)
 
     def test_density_estimates_present_on_dense_instance(self):
         # moderate decay keeps the observed count inside the attainable
