@@ -365,18 +365,19 @@ def cmd_curve(args) -> int:
     cfg = _config_from_args(args)
     if args.grid_points < 1:
         raise _StageError("arguments", "grid-points must be >= 1", EXIT_INPUT)
+    if args.model == "prdrg":
+        if args.g is None:
+            raise _StageError("arguments", "--g is required for the prdrg curve",
+                              EXIT_INPUT)
+        g = _parse_single_g(args.g)
     parsed = _load_graph(cfg.input_path, cfg.weighted)
     graph = parsed.graph
     attributes = _read_attributes(Path(args.attributes), graph)
     density_expected = None
     if args.model == "prdrg":
-        if args.g is None:
-            raise _StageError("arguments", "--g is required for the prdrg curve",
-                              EXIT_INPUT)
         if graph.is_weighted:
             raise _StageError("input", "the prdrg curve requires an unweighted "
                               "edge list", EXIT_INPUT)
-        g = _parse_single_g(args.g)
         loglik = make_prdrg_loglik(graph, attributes, g)
         density_expected = make_prdrg_expected_edges(attributes, g)
     elif graph.is_weighted:

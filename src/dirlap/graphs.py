@@ -371,7 +371,9 @@ def _largest_component(graph: DirectedGraph,
     size = np.bincount(membership)[membership]
     # tie: component whose smallest original node index is smallest
     best = membership[np.argmax(size == size.max())]
-    return _induced_subgraph(graph, np.flatnonzero(membership == best))
+    sub, kept = _induced_subgraph(graph, np.flatnonzero(membership == best))
+    sub.__dict__["_weakly_connected"] = True    # a component, by construction
+    return sub, kept
 
 
 def largest_scc(graph: DirectedGraph) -> tuple[DirectedGraph, tuple[int, ...]]:

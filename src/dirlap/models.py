@@ -320,44 +320,116 @@ def _level_penalty(h: np.ndarray) -> np.ndarray:
     return np.square(penalty, out=penalty)
 
 
-class _PairPenalties:
-    """Sums over ordered pairs i != j of f(gamma * penalty_ij), the
-    independent-edge models' counterpart of _AngleSpectrum and _pair_sum.
+# Level-model pair sums by Chebyshev interpolation.  Let psi(d) =
+# f(gamma * (d - 1)^2) and R = max h - min h.  With t_p the P Chebyshev
+# points of [min h, max h] and w_p = sum_i L_p(h_i) the summed barycentric
+# Lagrange weights of the levels on them,
+#     sum_{i,j} psi(h_j - h_i) = sum_{p,q} w_p w_q psi(t_q - t_p),
+# exactly when psi is a polynomial of degree < P on [-R, R].  P doubles from
+# _MIN_NODES until the Chebyshev coefficients of psi on [-R, R] above 3P/4
+# are at the rounding level of its samples.  Once P reaches n the nodes are
+# the levels themselves with unit weights, and the sum is the exact one.
 
-    A sum runs over all n^2 entries of the n x n ``penalty`` less the n
-    diagonal ones, so it needs no off-diagonal mask.  ``f`` writes its
-    result over its argument, one work array that every call reuses: call
-    from one thread at a time.
+_MIN_NODES = 32
+_BLOCK = 1 << 15         # entries of the block buffer every sum works in
+
+
+def _chebyshev_points(lo: float, hi: float, count: int) -> np.ndarray:
+    """``count`` >= 2 Chebyshev points of the second kind, ascending from
+    lo to hi, both ends included exactly."""
+    points = 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(
+        np.pi * np.arange(count) / (count - 1))
+    points[0], points[-1] = lo, hi
+    return points
+
+
+def _resolves(f: Callable[[np.ndarray], np.ndarray], gamma: float,
+              span: float, nodes: int) -> bool:
+    """Whether psi(d) = f(gamma * (d - 1)^2) on [-span, span] has its
+    Chebyshev coefficients above 3/4 of ``nodes`` at the rounding level.
+
+    The coefficients come from the FFT of the samples at ``nodes`` points,
+    mirrored (a DCT-I), whose rounding floor stays below _TAIL_TOL.
+    """
+    d = _chebyshev_points(-span, span, nodes)
+    values = f(gamma * np.square(d - 1.0))
+    coef = np.fft.rfft(np.concatenate([values, values[-2:0:-1]])).real
+    tail = np.abs(coef[3 * nodes // 4:]).max() / (nodes - 1)
+    return tail <= _TAIL_TOL * np.abs(values).max()
+
+
+class _LevelPairSums:
+    """Sums over ordered pairs i != j of f(gamma * (h_j - h_i - 1)^2) for
+    one level vector h, the level model's counterpart of _AngleSpectrum and
+    _pair_sum.
+
+    The Lagrange weights of each P are built once, in O(n*P) time, and
+    kept.  Every sum works in one buffer of _BLOCK entries that ``f``
+    writes over, so a probe allocates O(P) and no n x n array: call from
+    one thread at a time.
     """
 
-    def __init__(self, penalty: np.ndarray):
-        self.penalty = penalty
-        self.diagonal = penalty.diagonal().copy()
-        self._work = np.empty_like(penalty)
+    def __init__(self, h: np.ndarray):
+        self.h = h
+        self.n = len(h)
+        self.lo, self.hi = (float(h.min()), float(h.max())) if self.n else (0.0, 0.0)
+        self._grids: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._block = np.empty(_BLOCK)
+
+    def _blocks(self, count: int, width: int):
+        """(start, block) pairs: the buffer viewed as (rows, width) blocks
+        that together cover ``count`` rows."""
+        rows = max(1, _BLOCK // max(width, 1))
+        for start in range(0, count, rows):
+            stop = min(start + rows, count)
+            yield start, self._block[:(stop - start) * width].reshape(-1, width)
+
+    def node_count(self, f: Callable[[np.ndarray], np.ndarray], gamma: float) -> int:
+        """P for this probe: n for the exact sum, 1 when every level is equal."""
+        if self.hi == self.lo:
+            return min(self.n, 1)
+        nodes = _MIN_NODES
+        while nodes < self.n and not _resolves(f, gamma, self.hi - self.lo, nodes):
+            nodes *= 2
+        return min(nodes, self.n)
+
+    def _grid(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes t and weights w of the sum with ``nodes`` points, kept."""
+        if nodes not in self._grids:
+            self._grids[nodes] = self._build_grid(nodes)
+        return self._grids[nodes]
+
+    def _build_grid(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+        if nodes == self.n:
+            return self.h, np.ones(self.n)
+        if nodes == 1:
+            return np.array([self.lo]), np.array([float(self.n)])
+        points = _chebyshev_points(self.lo, self.hi, nodes)
+        lam = np.resize([1.0, -1.0], nodes)     # barycentric weights
+        lam[[0, -1]] *= 0.5
+        weights = np.zeros(nodes)
+        for start, block in self._blocks(self.n, nodes):
+            np.subtract.outer(self.h[start:start + len(block)], points, out=block)
+            with np.errstate(divide="ignore"):
+                np.divide(lam, block, out=block)
+            # a level on a node: its Lagrange row is that node's unit vector
+            hit = np.isinf(block)
+            on_node = hit.any(axis=1)
+            block[on_node] = hit[on_node]
+            block /= block.sum(axis=1, keepdims=True)
+            weights += block.sum(axis=0)
+        return points, weights
 
     def sum(self, f: Callable[[np.ndarray], np.ndarray], gamma: float) -> float:
-        full = f(np.multiply(gamma, self.penalty, out=self._work)).sum()
-        return float(full - f(gamma * self.diagonal).sum())
-
-
-def _make_bernoulli_loglik(graph: DirectedGraph,
-                           penalty: np.ndarray) -> Callable[[float], float]:
-    """Return gamma -> sum over ordered pairs i != j of log P(A_ij).
-
-    P(A_ij = 1) = 1 / (1 + exp(x_ij)) with x_ij = gamma * penalty_ij for the
-    n x n nonnegative ``penalty``.  As log P(edge) = log P(no edge) - x, the
-    sum is -gamma times the edges' penalty, an O(m) sum taken once, plus the
-    pair sum of log P(no edge), kept in the log domain.
-    """
-    pairs = _PairPenalties(penalty)
-    edge_penalty = float(penalty[graph.edge_index[:, 0],
-                                 graph.edge_index[:, 1]].sum())
-
-    def loglik(gamma: float) -> float:
-        gamma = _check_gamma(gamma)
-        return -gamma * edge_penalty - pairs.sum(_absent_neglogprob, gamma)
-
-    return loglik
+        points, weights = self._grid(self.node_count(f, gamma))
+        total = 0.0
+        for start, block in self._blocks(len(points), len(points)):
+            np.subtract.outer(points[start:start + len(block)], points, out=block)
+            np.add(block, 1.0, out=block)       # t_p - t_q + 1 = -(t_q - t_p - 1)
+            np.square(block, out=block)
+            f(np.multiply(gamma, block, out=block))
+            total += float(weights[start:start + len(block)] @ (block @ weights))
+        return total - self.n * float(f(np.array([gamma]))[0])
 
 
 def trophic_edge_prob(h_i, h_j, gamma: float):
@@ -373,14 +445,30 @@ def trophic_edge_prob(h_i, h_j, gamma: float):
 
 
 def make_trophic_loglik(graph: DirectedGraph, h) -> Callable[[float], float]:
-    """Precompute pair terms and return gamma -> log-likelihood."""
+    """Precompute the level terms and return gamma -> log-likelihood.
+
+    As log P(edge) = log P(no edge) - x with x = gamma * (h_j - h_i - 1)^2,
+    the log-likelihood is -gamma times the edges' squared gaps, an O(m) sum
+    taken once, less the pair sum of -log P(no edge) = log1p(exp(-x)) over
+    all ordered pairs, a Chebyshev pair sum (_LevelPairSums).  Setup is
+    O(n + m); a probe costs O(P^2) with P <= n nodes, and O(n * P) more the
+    first time it needs a new P.  Call from one thread at a time.
+    """
     if graph.is_weighted:
         raise ValueError("the Bernoulli level model is defined for "
                          "unweighted graphs; see weighted_trophic_logdensity")
     h = np.asarray(h, dtype=float)
     if h.shape != (graph.n,):
         raise ValueError(f"h has length {h.size}, expected {graph.n}")
-    return _make_bernoulli_loglik(graph, _level_penalty(h))
+    pairs = _LevelPairSums(h)
+    src, dst = graph.edge_index.T
+    edge_penalty = float(np.square(h[src] - h[dst] + 1.0).sum())
+
+    def loglik(gamma: float) -> float:
+        gamma = _check_gamma(gamma)
+        return -gamma * edge_penalty - pairs.sum(_absent_neglogprob, gamma)
+
+    return loglik
 
 
 def trophic_loglik(graph: DirectedGraph, params: TrophicParams) -> float:
@@ -399,12 +487,13 @@ def trophic_sample(params: TrophicParams, seed) -> DirectedGraph:
 
 
 def make_trophic_expected_edges(h) -> Callable[[float], float]:
-    """Precompute the squared level gaps and return gamma -> expected edge count.
+    """Precompute the level terms and return gamma -> expected edge count.
 
-    The returned function reuses one n x n work array, so call it from one
-    thread at a time.
+    The count is the Chebyshev pair sum (_LevelPairSums) of the edge
+    probability over all ordered pairs i != j, at the costs given in
+    make_trophic_loglik.  Call from one thread at a time.
     """
-    pairs = _PairPenalties(_level_penalty(np.asarray(h, dtype=float)))
+    pairs = _LevelPairSums(np.asarray(h, dtype=float))
     return lambda gamma: pairs.sum(_edge_prob, _check_gamma(gamma))
 
 
@@ -472,7 +561,9 @@ def kernel_loglik(graph: DirectedGraph, model: KernelModel) -> float:
             if value < 0.0:
                 raise ValueError(f"kernel is negative ({value}) on pair ({i}, {j})")
             penalty[i, j] = value
-    return _make_bernoulli_loglik(graph, penalty)(model.gamma)
+    edge_penalty = float(penalty[graph.edge_index[:, 0], graph.edge_index[:, 1]].sum())
+    absent = _absent_neglogprob(model.gamma * penalty)
+    return -model.gamma * edge_penalty - float(absent.sum() - absent.trace())
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,48 @@ def exact_prdrg_expected_edges(theta, gamma: float, g: float) -> float:
     return float(np.sum(2.0 * probs[0] + probs[1] + probs[2]))
 
 
+def direct_trophic_expected_edges(h, gamma):
+    """The level model's expected edge count summed over all n^2 pairs
+    less the diagonal; the oracle for the Chebyshev pair sums in
+    dirlap.models."""
+    h = np.asarray(h, dtype=float)
+    with np.errstate(over="ignore"):
+        prob = 1.0 / (1.0 + np.exp(gamma * (h[None, :] - h[:, None] - 1.0) ** 2))
+    return float(prob.sum() - prob.diagonal().sum())
+
+
+def direct_bernoulli_loglik(graph: DirectedGraph, h, gamma):
+    """The level model's log-likelihood: -gamma times the edges' penalty,
+    less the pair sum of -log P(no edge) over all n^2 pairs less the
+    diagonal; the oracle for the Chebyshev pair sums in dirlap.models."""
+    h = np.asarray(h, dtype=float)
+    penalty = (h[None, :] - h[:, None] - 1.0) ** 2
+    edge_penalty = float(penalty[graph.edge_index[:, 0], graph.edge_index[:, 1]].sum())
+    absent = np.log1p(np.exp(-(gamma * penalty)))
+    return -gamma * edge_penalty - float(absent.sum() - absent.diagonal().sum())
+
+
+def masked_trophic_expected_edges(h, gamma):
+    """The expected edge count as e / (1 + e) with e = exp(-x), summed with
+    a zeroed diagonal: a second form of direct_trophic_expected_edges."""
+    h = np.asarray(h, dtype=float)
+    e = np.exp(-(gamma * (h[None, :] - h[:, None] - 1.0) ** 2))
+    prob = e / (1.0 + e)
+    np.fill_diagonal(prob, 0.0)
+    return float(prob.sum())
+
+
+def masked_bernoulli_loglik(graph: DirectedGraph, h, gamma):
+    """The log-likelihood as log P(A_ij) for every off-diagonal pair, picked
+    by the adjacency: a second form of direct_bernoulli_loglik."""
+    h = np.asarray(h, dtype=float)
+    adj = adjacency(graph).astype(bool)
+    off = ~np.eye(graph.n, dtype=bool)
+    x = gamma * ((h[None, :] - h[:, None] - 1.0) ** 2)[off]
+    log_absent = -np.log1p(np.exp(-x))
+    return float(np.sum(np.where(adj[off], log_absent - x, log_absent)))
+
+
 def block_cycle_graph(rng: np.random.Generator, blocks: int, size: int,
                       out_degree: float = 8.0,
                       forward_share: float = 0.85) -> DirectedGraph:

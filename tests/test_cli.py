@@ -40,6 +40,27 @@ class TestCompareCommand:
         assert "best_g = 1/3" in report
         assert report.count("gamma_at_lower_bound = false\n") == 2
 
+    @pytest.mark.parametrize("command", [
+        ["compare"],
+        ["reorder", "--method", "magnetic", "--g", "1/3"],
+        ["reorder", "--method", "trophic"],
+    ], ids=["compare", "reorder-magnetic", "reorder-trophic"])
+    def test_component_connectivity_not_recomputed(self, tmp_path, monkeypatch,
+                                                   command):
+        # the extracted component is connected by construction, so picking
+        # it is the only connected_components run
+        import dirlap.graphs as graphs
+        runs = []
+        original = graphs.connected_components
+
+        def counted(*args, **kwargs):
+            runs.append(kwargs["connection"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(graphs, "connected_components", counted)
+        assert run(*command, "--input", FOOD_WEB, "--out-dir", tmp_path) == 0
+        assert runs == ["strong"]
+
     def test_phases_and_levels_cover_component(self, tmp_path):
         run("compare", "--input", FOOD_WEB, "--out-dir", tmp_path)
         phases = (tmp_path / "phases.csv").read_text().splitlines()
@@ -160,6 +181,13 @@ class TestArgumentErrors:
         self.refused(capsys, "curve", "--input", FOOD_WEB, "--model", "trophic",
                      "--attributes", tmp_path / "missing.csv", "--grid-points", 0,
                      "--out", tmp_path / "c.csv")
+
+    @pytest.mark.parametrize("g", [None, "1/0", "x"], ids=["missing", "zero-denominator",
+                                                          "malformed"])
+    def test_prdrg_curve_rotation_checked_before_reading(self, tmp_path, capsys, g):
+        args = ["curve", "--input", tmp_path / "missing.edges", "--model", "prdrg",
+                "--attributes", tmp_path / "missing.csv", "--out", tmp_path / "c.csv"]
+        self.refused(capsys, *args, *(["--g", g] if g else []))
 
 
 class TestCsvLabels:

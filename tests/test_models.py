@@ -13,12 +13,17 @@ from dirlap import (DirectedGraph, KernelModel, NumericalError, PRDRGParams,
                     gen_trophic_levels, kernel_loglik, magnetic_algorithm,
                     parse_edge_list, prdrg_expected_edges, prdrg_loglik,
                     prdrg_pair_probs, prdrg_sample, symmetrize,
-                    trophic_edge_prob, trophic_expected_edges, trophic_loglik,
-                    trophic_sample, weighted_trophic_logdensity)
-from dirlap.models import (make_prdrg_loglik, make_trophic_expected_edges,
+                    trophic_algorithm, trophic_edge_prob,
+                    trophic_expected_edges, trophic_loglik, trophic_sample,
+                    weighted_trophic_logdensity)
+from dirlap.models import (_absent_neglogprob, _edge_prob, _LevelPairSums,
+                           make_prdrg_loglik, make_trophic_expected_edges,
                            make_trophic_loglik)
-from helpers import (adjacency, exact_prdrg_expected_edges,
-                     exact_prdrg_loglik, level_fixtures, random_graph)
+from helpers import (adjacency, block_cycle_graph, direct_bernoulli_loglik,
+                     direct_trophic_expected_edges, exact_prdrg_expected_edges,
+                     exact_prdrg_loglik, level_fixtures,
+                     masked_bernoulli_loglik, masked_trophic_expected_edges,
+                     random_graph)
 
 TWO_PI = 2 * np.pi
 FOOD_WEB = Path(__file__).parent / "fixtures" / "food_web_scc.edges"
@@ -526,61 +531,19 @@ class TestExpectedEdges:
         assert (np.diff(trophic_counts) <= 1e-9).all()
 
 
-def direct_trophic_expected_edges(h, gamma):
-    """The level model's expected edge count with the squared gaps formed
-    anew for this gamma, in the same arithmetic as dirlap.models: the sum
-    over all n^2 pairs less the diagonal."""
-    h = np.asarray(h, dtype=float)
-    with np.errstate(over="ignore"):
-        prob = 1.0 / (1.0 + np.exp(gamma * (h[None, :] - h[:, None] - 1.0) ** 2))
-    return float(prob.sum() - prob.diagonal().sum())
-
-
-def direct_bernoulli_loglik(graph, h, gamma):
-    """The level model's log-likelihood with every term formed anew, in the
-    same arithmetic as dirlap.models: -gamma times the edges' penalty,
-    less the pair sum of -log P(no edge) over all n^2 pairs less the
-    diagonal."""
-    h = np.asarray(h, dtype=float)
-    penalty = (h[None, :] - h[:, None] - 1.0) ** 2
-    edge_penalty = float(penalty[graph.edge_index[:, 0], graph.edge_index[:, 1]].sum())
-    absent = np.log1p(np.exp(-(gamma * penalty)))
-    return -gamma * edge_penalty - float(absent.sum() - absent.diagonal().sum())
-
-
-def masked_trophic_expected_edges(h, gamma):
-    """The expected edge count as computed before the pair sums were split
-    off: e / (1 + e) with e = exp(-x), summed with a zeroed diagonal."""
-    h = np.asarray(h, dtype=float)
-    e = np.exp(-(gamma * (h[None, :] - h[:, None] - 1.0) ** 2))
-    prob = e / (1.0 + e)
-    np.fill_diagonal(prob, 0.0)
-    return float(prob.sum())
-
-
-def masked_bernoulli_loglik(graph, h, gamma):
-    """The log-likelihood as computed before the edge term was split off:
-    log P(A_ij) for every off-diagonal pair, picked by the adjacency."""
-    h = np.asarray(h, dtype=float)
-    adj = adjacency(graph).astype(bool)
-    off = ~np.eye(graph.n, dtype=bool)
-    x = gamma * ((h[None, :] - h[:, None] - 1.0) ** 2)[off]
-    log_absent = -np.log1p(np.exp(-x))
-    return float(np.sum(np.where(adj[off], log_absent - x, log_absent)))
-
-
 class TestLevelModelProbes:
-    """One closure per level vector, probed in sequence, equals the terms
-    formed anew for each gamma bit for bit, and the former masked n x n
-    sums to 1e-14 relative."""
+    """One closure per level vector, probed in sequence, agrees with the
+    n^2 oracle of tests/helpers.py to 1e-13 relative, and that oracle with
+    the former masked n x n sums to 1e-14."""
 
     def test_expected_edges_equal_direct_sum(self):
         for _, h in level_fixtures():
             expected = make_trophic_expected_edges(h)
             for gamma in [0.0, *ORACLE_GAMMAS]:
                 direct = direct_trophic_expected_edges(h, gamma)
-                assert expected(gamma) == direct
-                assert trophic_expected_edges(h, gamma) == direct
+                assert expected(gamma) == pytest.approx(direct, rel=1e-13, abs=0.0)
+                assert trophic_expected_edges(h, gamma) == pytest.approx(
+                    direct, rel=1e-13, abs=0.0)
                 assert direct == pytest.approx(
                     masked_trophic_expected_edges(h, gamma), rel=1e-14, abs=0.0)
 
@@ -589,7 +552,7 @@ class TestLevelModelProbes:
             loglik = make_trophic_loglik(graph, h)
             for gamma in [0.0, *ORACLE_GAMMAS]:
                 direct = direct_bernoulli_loglik(graph, h, gamma)
-                assert loglik(gamma) == direct
+                assert loglik(gamma) == pytest.approx(direct, rel=1e-13, abs=0.0)
                 assert direct == pytest.approx(
                     masked_bernoulli_loglik(graph, h, gamma), rel=1e-14, abs=0.0)
 
@@ -607,3 +570,79 @@ class TestLevelModelProbes:
             finally:
                 tracemalloc.stop()
             assert peak <= 2**20
+
+    def test_probes_at_4000_nodes_form_no_pair_array(self):
+        # one 4000 x 4000 float array is 128 MB
+        graph = block_cycle_graph(np.random.default_rng(0), 5, 800)
+        h = trophic_algorithm(graph).h
+        tracemalloc.start()
+        try:
+            probes = (make_trophic_loglik(graph, h), make_trophic_expected_edges(h))
+            for probe in probes:
+                for gamma in (1e-3, 1.0, 50.0):
+                    probe(gamma)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+
+
+class TestLevelPairSums:
+    """The Chebyshev pair sums against the n^2 oracle, on both branches and
+    on a level vector with no spread."""
+
+    GAMMAS = [0.0, *ORACLE_GAMMAS]          # ORACLE_GAMMAS holds 50
+
+    @staticmethod
+    def assert_match_oracle(graph, h):
+        loglik = make_trophic_loglik(graph, h)
+        expected = make_trophic_expected_edges(h)
+        for gamma in TestLevelPairSums.GAMMAS:
+            assert loglik(gamma) == pytest.approx(
+                direct_bernoulli_loglik(graph, h, gamma), rel=1e-13, abs=0.0)
+            assert expected(gamma) == pytest.approx(
+                direct_trophic_expected_edges(h, gamma), rel=1e-13, abs=0.0)
+
+    @staticmethod
+    def node_counts(h, gammas):
+        sums = _LevelPairSums(np.asarray(h, dtype=float))
+        return {sums.node_count(f, gamma) for f in (_absent_neglogprob, _edge_prob)
+                for gamma in gammas}
+
+    def test_narrow_levels_stay_on_chebyshev_nodes(self):
+        # n = 1000 with levels spread over ~0.2, as in a dense periodic graph
+        h = gen_trophic_levels(1, 1000, 0.1, 31)
+        graph = random_graph(np.random.default_rng(32), 1000, 0.01)
+        assert max(self.node_counts(h, self.GAMMAS)) < 1000
+        self.assert_match_oracle(graph, h)
+
+    def test_six_levels_at_high_rate_take_the_exact_sum(self):
+        h = gen_trophic_levels(6, 46, 0.2, 4)
+        graph = trophic_sample(TrophicParams(h, 5.0), 104)
+        assert self.node_counts(h, [50.0]) == {len(h)}
+        self.assert_match_oracle(graph, h)
+
+    def test_equal_levels_give_the_exact_sum(self):
+        # every level of a directed cycle is 0
+        cycle = DirectedGraph(100, tuple((i, (i + 1) % 100) for i in range(100)))
+        h = trophic_algorithm(cycle).h
+        assert np.ptp(h) == 0.0
+        assert self.node_counts(h, self.GAMMAS) == {1}
+        self.assert_match_oracle(cycle, h)
+        expected = make_trophic_expected_edges(h)
+        for gamma in self.GAMMAS:
+            assert expected(gamma) == pytest.approx(
+                100 * 99 * trophic_edge_prob(0.0, 0.0, gamma), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("n", [250, 1000])
+    def test_permuting_and_shifting_levels_leave_sums_unchanged(self, n):
+        rng = np.random.default_rng(n)
+        h = gen_trophic_levels(5, n // 5, 0.2, n)
+        order = rng.permutation(n)
+        for f in (_absent_neglogprob, _edge_prob):
+            sums = [_LevelPairSums(v) for v in (h, h[order], h + 3.7, h - 1.25)]
+            for gamma in self.GAMMAS:
+                base = sums[0].sum(f, gamma)
+                for other in sums[1:]:
+                    assert other.sum(f, gamma) == pytest.approx(base, rel=1e-13,
+                                                                abs=0.0)
