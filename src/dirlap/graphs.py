@@ -125,11 +125,10 @@ class DirectedGraph:
     @functools.cached_property
     def reciprocated(self) -> np.ndarray:
         """Read-only per-edge mask: True where the reverse edge is present too."""
-        src, dst = self.edge_index.T
-        key = src * self.n + dst           # ascending: edges are sorted
-        rev = dst * self.n + src
-        at = np.minimum(np.searchsorted(key, rev), len(key) - 1)
-        mask = key[at] == rev
+        paired = _paired_with_reverse(self).data
+        # the entries with a nonzero real part are the edges, in CSR order,
+        # which is the order of edge_index
+        mask = paired.imag[paired.real != 0] != 0
         mask.setflags(write=False)
         return mask
 
@@ -185,6 +184,16 @@ class ParseResult:
 # lines split at a time: the token lists of one chunk are alive at once,
 # so this bounds the parse's peak memory
 _CHUNK_LINES = 16384
+# characters of plain text split at a time, for the same reason
+_CHUNK_CHARS = 1 << 19
+
+# byte classes of plain text: 0 anything else, 1 a separator, 2 a line end,
+# 3 part of a label; '#' and '%' are left at 0, since they may start a comment
+_PLAIN_BYTES = np.zeros(256, dtype=np.uint8)
+_PLAIN_BYTES[0x21:0x7F] = 3
+_PLAIN_BYTES[[ord("#"), ord("%")]] = 0
+_PLAIN_BYTES[[ord(" "), ord("\t")]] = 1
+_PLAIN_BYTES[ord("\n")] = 2
 
 
 def parse_edge_list(text: str | Iterable[str], weighted: bool = False) -> ParseResult:
@@ -200,9 +209,18 @@ def parse_edge_list(text: str | Iterable[str], weighted: bool = False) -> ParseR
 
     Lines are split a chunk at a time; labels map to ids through one dict
     and the rest is array work, so no Python object is kept per edge.
+    Unweighted ``str`` text that is plain (see :func:`_scan_plain`) is
+    split ~512 kB of text at a time without cutting it into lines first;
+    any other input, or plain text that turns out not to be, goes through
+    the line scan.  Both give the same result.
     """
     source = text if isinstance(text, str) else list(text)
-    labels, ids, weights, error = _scan(_lines(source), weighted)
+    scanned = None
+    if isinstance(source, str) and not weighted:
+        scanned = _scan_plain(source)
+    if scanned is None:
+        scanned = _scan(_lines(source), weighted)
+    labels, ids, weights, error = scanned
     src, dst = ids[0::2], ids[1::2]
     n = len(labels)
     nonloop = np.flatnonzero(src != dst)
@@ -266,11 +284,8 @@ def _scan(lines: list[str], weighted: bool):
             error = (rows_before + r,
                      "expected 'src dst weight'" if weighted else "expected 'src dst'")
             rows = rows[:r]
-        names = list(itertools.chain.from_iterable(
-            map(operator.itemgetter(0, 1), rows)))
-        fresh = [name for name in dict.fromkeys(names) if name not in index]
-        index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
-        ids = np.fromiter(map(index.__getitem__, names), np.int64, len(names))
+        ids = _label_ids(index, list(itertools.chain.from_iterable(
+            map(operator.itemgetter(0, 1), rows))))
         if weighted:
             nonloop = np.flatnonzero(ids[0::2] != ids[1::2]).tolist()
             weights, bad = _parse_weights([rows[r][2] for r in nonloop])
@@ -290,6 +305,48 @@ def _scan(lines: list[str], weighted: bool):
     if weighted:
         weights = np.concatenate(weight_parts) if weight_parts else np.empty(0)
     return tuple(index), ids, weights, error
+
+
+def _scan_plain(text: str):
+    """:func:`_scan` of plain unweighted text, or None when it is not plain.
+
+    Plain text is ASCII of printable characters, spaces, tabs and ``\n``
+    only, holds no ``#`` or ``%``, and has 0 or 2 tokens on every line.
+    On it ``str.split()`` and ``str.splitlines()`` cut where the line scan
+    would, no line is a comment and every line is valid, so one split of a
+    whole chunk yields the labels in line order, two per edge.  Chunks of
+    about ``_CHUNK_CHARS`` characters end just after a line end.
+    """
+    index: dict[str, int] = {}
+    id_parts: list[np.ndarray] = []
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK_CHARS - 1)
+        end = len(text) if end < 0 else end + 1
+        chunk = text[start:end]
+        start = end
+        if not chunk.isascii():
+            return None
+        kind = _PLAIN_BYTES.take(np.frombuffer(chunk.encode("ascii"), np.uint8))
+        if not kind.all():
+            return None
+        label = kind == 3
+        first = label.copy()
+        first[1:] &= ~label[:-1]
+        tokens_per_line = np.bincount(np.cumsum(kind == 2)[first])
+        if not ((tokens_per_line == 0) | (tokens_per_line == 2)).all():
+            return None
+        id_parts.append(_label_ids(index, chunk.split()))
+    ids = np.concatenate(id_parts) if id_parts else np.empty(0, dtype=np.int64)
+    return tuple(index), ids, None, None
+
+
+def _label_ids(index: dict[str, int], names: list[str]) -> np.ndarray:
+    """Ids of ``names``; a label not yet in ``index`` gets the next free id,
+    in order of first appearance."""
+    fresh = [name for name in dict.fromkeys(names) if name not in index]
+    index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
+    return np.fromiter(map(index.__getitem__, names), np.int64, len(names))
 
 
 def _parse_weights(tokens: list[str]):
@@ -430,7 +487,7 @@ def _freeze_csr(mat: csr_matrix) -> None:
 
 
 def symmetrize(graph: DirectedGraph) -> SymmetrizedView:
-    """Build the symmetrized view of an unweighted directed graph in O(m log m).
+    """Build the symmetrized view of an unweighted directed graph in O(n + m).
 
     Weighted graphs are rejected: only the level solve uses their view."""
     if graph.is_weighted:
@@ -438,23 +495,45 @@ def symmetrize(graph: DirectedGraph) -> SymmetrizedView:
     return _symmetrize(graph)
 
 
-def _symmetrize(graph: DirectedGraph) -> SymmetrizedView:
-    """The view of any graph, weights included (1 per edge when unweighted)."""
-    n, m = graph.n, graph.edge_count
+def _paired_with_reverse(graph: DirectedGraph) -> csr_matrix:
+    """C = W + 1j * W^T as a CSR matrix with sorted indices, in O(n + m).
+
+    W is the weight matrix (the adjacency matrix when unweighted).  C's
+    pattern is every ordered pair with an edge either way; no entry is 0,
+    since every weight is positive.  The real part of an entry is the
+    weight of edge i -> j and the imaginary part that of j -> i, 0 where
+    that edge is absent.
+    """
+    n = graph.n
     src, dst = graph.edge_index[:, 0], graph.edge_index[:, 1]
-    # each edge i -> j of weight w puts w/2 and +w at (i, j), w/2 and -w at
-    # (j, i); keys row * n + col come out of np.unique sorted, i.e. in CSR order
-    keys, slot = np.unique(np.concatenate([src * n + dst, dst * n + src]),
-                           return_inverse=True)
-    w = graph.edge_weights if graph.is_weighted else np.ones(m)
-    wsym = np.bincount(slot, weights=np.concatenate([w, w]), minlength=len(keys)) / 2.0
-    alpha = np.bincount(slot, weights=np.concatenate([w, -w]), minlength=len(keys))
-    rows, cols = np.divmod(keys, max(n, 1))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    w = graph.edge_weights if graph.is_weighted else np.ones(graph.edge_count)
+    # edge_index is sorted by (source, target): it is W's CSR form as it stands
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    a = csr_matrix((w, dst, indptr), shape=(n, n))
+    paired = (a + 1j * a.T).tocsr()
+    paired.sort_indices()
+    return paired
+
+
+def _symmetrize(graph: DirectedGraph) -> SymmetrizedView:
+    """The view of any graph, weights included (1 per edge when unweighted).
+
+    One CSR transpose pairs each edge with its reverse: on the pattern of
+    C = W + 1j * W^T, ``wsym`` is (Re C + Im C)/2 and ``alpha`` is
+    Re C - Im C.  A reciprocated pair of equal weights keeps an explicit 0
+    in ``alpha``.  O(n + m) time, with no sort of the edges.
+    """
+    n = graph.n
+    paired = _paired_with_reverse(graph)
+    forward, backward = paired.data.real, paired.data.imag
+    wsym = (forward + backward) / 2.0
+    rows = np.repeat(np.arange(n), np.diff(paired.indptr))
     return SymmetrizedView(
-        wsym=csr_matrix((wsym, cols, indptr), shape=(n, n)),
+        wsym=csr_matrix((wsym, paired.indices, paired.indptr), shape=(n, n)),
         degrees=np.bincount(rows, weights=wsym, minlength=n),
-        alpha=csr_matrix((alpha, cols, indptr), shape=(n, n)))
+        alpha=csr_matrix((forward - backward, paired.indices, paired.indptr),
+                         shape=(n, n)))
 
 
 def apply_ordering(graph: DirectedGraph, score) -> np.ndarray:

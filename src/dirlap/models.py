@@ -213,8 +213,8 @@ def _observed_excess(graph: DirectedGraph, theta: np.ndarray, g: float) -> float
         return 0.0
     src, dst = graph.edge_index.T
     beta = theta[src] - theta[dst]
-    return float(np.sum(np.where(graph.reciprocated, np.cos(beta),
-                                 np.cos(beta + TWO_PI * g)) - 1.0))
+    return float(np.sum(np.cos(beta + np.where(graph.reciprocated, 0.0, TWO_PI * g))
+                        - 1.0))
 
 
 def make_prdrg_loglik(graph: DirectedGraph, theta, g: float) -> Callable[[float], float]:

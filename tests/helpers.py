@@ -5,10 +5,11 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
-from dirlap import (DirectedGraph, EdgeListError, TrophicParams,
-                    gen_trophic_levels, largest_wcc, parse_edge_list,
-                    trophic_algorithm, trophic_sample)
+from dirlap import (DirectedGraph, EdgeListError, SymmetrizedView,
+                    TrophicParams, gen_trophic_levels, largest_wcc,
+                    parse_edge_list, trophic_algorithm, trophic_sample)
 
 FOOD_WEB = Path(__file__).parent / "fixtures" / "food_web_scc.edges"
 
@@ -19,6 +20,28 @@ def adjacency(graph: DirectedGraph) -> np.ndarray:
     idx = graph.edge_index
     a[idx[:, 0], idx[:, 1]] = graph.edge_weights if graph.is_weighted else 1.0
     return a
+
+
+def reference_symmetrize(graph: DirectedGraph) -> SymmetrizedView:
+    """The symmetrized view built by sorting the keys of both directions of
+    every edge: the oracle for the CSR transpose in dirlap.graphs.
+
+    Each edge i -> j of weight w puts w/2 and +w at (i, j), w/2 and -w at
+    (j, i); the keys row * n + col come out of np.unique in CSR order.
+    """
+    n, m = graph.n, graph.edge_count
+    src, dst = graph.edge_index[:, 0], graph.edge_index[:, 1]
+    keys, slot = np.unique(np.concatenate([src * n + dst, dst * n + src]),
+                           return_inverse=True)
+    w = graph.edge_weights if graph.is_weighted else np.ones(m)
+    wsym = np.bincount(slot, weights=np.concatenate([w, w]), minlength=len(keys)) / 2.0
+    alpha = np.bincount(slot, weights=np.concatenate([w, -w]), minlength=len(keys))
+    rows, cols = np.divmod(keys, max(n, 1))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    return SymmetrizedView(
+        wsym=csr_matrix((wsym, cols, indptr), shape=(n, n)),
+        degrees=np.bincount(rows, weights=wsym, minlength=n),
+        alpha=csr_matrix((alpha, cols, indptr), shape=(n, n)))
 
 
 def build_trophic_system(graph: DirectedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -12,7 +12,7 @@ from dirlap import (DirectedGraph, EdgeListError, GraphStructureError,
                     serialize_edge_list, serialize_ordering, symmetrize)
 from dirlap import graphs
 from helpers import (adjacency, random_graph, reference_graph_error,
-                     reference_parse_edge_list)
+                     reference_parse_edge_list, reference_symmetrize)
 
 
 class TestParseEdgeList:
@@ -130,6 +130,13 @@ class TestParseOracle:
         with mock.patch.object(graphs, "_CHUNK_LINES", chunk):
             assert_parsers_agree(source, weighted)
 
+    @settings(max_examples=300, deadline=None)
+    @given(edge_list_texts(), st.booleans(), st.integers(1, 6))
+    def test_matches_line_by_line_parser_without_plain_scan(self, text, weighted, chunk):
+        with mock.patch.object(graphs, "_CHUNK_LINES", chunk), \
+                mock.patch.object(graphs, "_scan_plain", return_value=None):
+            assert_parsers_agree(text, weighted)
+
     @pytest.mark.parametrize("text, weighted, message", [
         # errors of different kinds: the first line in line order wins
         ("a b 0.5\nc d 2\ne f\n", True, "line 2: weight 2.0 outside (0, 1)"),
@@ -180,19 +187,87 @@ class TestParseOracle:
         assert_parsers_agree("\n".join(lines + tail[::-1]), weighted)
 
 
+# plain text: printable ASCII labels with no '#' or '%', two to a line
+# between spaces and tabs, and blank lines
+PLAIN_LABELS = ["a", "b", "c", "a,1", '"q', "0", "x-y", "~"]
+PLAIN_SEPARATORS = [" ", "\t", "  ", " \t "]
+
+
+@st.composite
+def plain_texts(draw):
+    pad = st.sampled_from(["", " ", "\t"])
+    lines = []
+    for _ in range(draw(st.integers(0, 30))):
+        line = draw(pad)
+        if draw(st.integers(0, 4)):
+            line += (draw(st.sampled_from(PLAIN_LABELS))
+                     + draw(st.sampled_from(PLAIN_SEPARATORS))
+                     + draw(st.sampled_from(PLAIN_LABELS)) + draw(pad))
+        lines.append(line)
+    text = "\n".join(lines)
+    return text + "\n" if lines and draw(st.booleans()) else text
+
+
+def line_scan_spy():
+    """Patch that records whether parse_edge_list fell back to the line scan."""
+    return mock.patch.object(graphs, "_scan", wraps=graphs._scan)
+
+
+class TestPlainTextParse:
+    @settings(max_examples=300, deadline=None)
+    @given(plain_texts(), st.integers(1, 64))
+    def test_chunk_cuts_anywhere(self, text, chunk):
+        with mock.patch.object(graphs, "_CHUNK_CHARS", chunk), line_scan_spy() as spy:
+            assert_parsers_agree(text, False)
+        assert not spy.called
+
+    @pytest.mark.parametrize("text", [
+        "a b\r\nc d\n", "a b\nc d\x0ce f\n", "a b\nc\x1cd\n", "a b\nc\xa0d\n",
+        "a b\n# c d\n", "a b\nc %d\n", "a b\nc d 0.5\n",
+    ])
+    @pytest.mark.parametrize("chunk", [1, graphs._CHUNK_CHARS])
+    def test_other_text_takes_the_line_scan(self, text, chunk):
+        # with chunk = 1 the first line passes and the second one does not
+        with mock.patch.object(graphs, "_CHUNK_CHARS", chunk), line_scan_spy() as spy:
+            assert_parsers_agree(text, False)
+        assert spy.called
+
+    @pytest.mark.parametrize("source, weighted", [
+        ("a b 0.5\n", True), (["a b\n", "c d\n"], False)])
+    def test_weighted_text_and_line_lists_take_the_line_scan(self, source, weighted):
+        with line_scan_spy() as spy:
+            assert_parsers_agree(source, weighted)
+        assert spy.called
+
+
+@pytest.fixture(scope="class")
+def periodic_text():
+    # 198k edges: the scale of the benchmark's periodic-1k input
+    theta = gen_clustered_angles(5, 200, 0.2, 1)
+    text = serialize_edge_list(prdrg_sample(PRDRGParams(theta, 5.0, 0.2), 2))
+    assert text.count("\n") > 190_000
+    return text
+
+
+def parse_peak_bytes(text) -> int:
+    tracemalloc.start()
+    try:
+        parse_edge_list(text)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestParseMemory:
-    def test_peak_memory_bounded(self):
-        # 198k edges: the scale of the benchmark's periodic-1k input
-        theta = gen_clustered_angles(5, 200, 0.2, 1)
-        text = serialize_edge_list(prdrg_sample(PRDRGParams(theta, 5.0, 0.2), 2))
-        assert text.count("\n") > 190_000
-        tracemalloc.start()
-        try:
-            parse_edge_list(text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 40e6
+    def test_peak_memory_bounded(self, periodic_text):
+        # the line scan, which every input that is not plain text takes
+        with mock.patch.object(graphs, "_scan_plain", return_value=None):
+            assert parse_peak_bytes(periodic_text) <= 40e6
+
+    def test_plain_text_peak_memory_bounded(self, periodic_text):
+        with line_scan_spy() as spy:
+            assert parse_peak_bytes(periodic_text) <= 20e6
+        assert not spy.called
 
 
 class TestDirectedGraphInvariants:
@@ -280,6 +355,11 @@ class TestArrayConstruction:
         assert not graph.reciprocated.flags.writeable
         assert DirectedGraph(2, ()).reciprocated.shape == (0,)
 
+    def test_reciprocated_mask_matches_adjacency(self):
+        for graph in symmetrize_cases(np.random.default_rng(21)):
+            src, dst = graph.edge_index.T
+            assert np.array_equal(graph.reciprocated, adjacency(graph)[dst, src] != 0)
+
 
 class TestEdgeIndex:
     def test_matches_edges_and_is_read_only(self):
@@ -355,7 +435,29 @@ class TestComponents:
         assert sub.weights == (0.3, 0.4)
 
 
+def symmetrize_cases(rng: np.random.Generator):
+    """Graphs with reciprocated pairs, one-way edges and isolated nodes, and
+    the degenerate ones: no nodes, one node, no edges; each also weighted."""
+    cases = [DirectedGraph(0, ()), DirectedGraph(1, ()), DirectedGraph(4, ()),
+             DirectedGraph(5, ((0, 1), (1, 0), (3, 1)))]
+    for _ in range(30):
+        graph = random_graph(rng, int(rng.integers(2, 40)), rng.uniform(0.02, 0.5))
+        cases.append(DirectedGraph(graph.n + 3, graph.edge_index))
+    for graph in cases:
+        yield graph
+        yield DirectedGraph(graph.n, graph.edge_index,
+                            weights=rng.uniform(0.01, 0.99, graph.edge_count))
+
+
 class TestSymmetrize:
+    def test_matches_sorted_key_oracle(self):
+        for graph in symmetrize_cases(np.random.default_rng(19)):
+            view, oracle = graphs._symmetrize(graph), reference_symmetrize(graph)
+            for ours, ref in ((view.wsym, oracle.wsym), (view.alpha, oracle.alpha)):
+                for part in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(ours, part), getattr(ref, part))
+            assert np.array_equal(view.degrees, oracle.degrees)
+
     def test_single_edge(self):
         view = symmetrize(DirectedGraph(2, ((0, 1),)))
         assert view.wsym.toarray()[0, 1] == 0.5

@@ -17,8 +17,8 @@ from dirlap import (DirectedGraph, KernelModel, NumericalError, PRDRGParams,
                     trophic_expected_edges, trophic_loglik, trophic_sample,
                     weighted_trophic_logdensity)
 from dirlap.models import (_absent_neglogprob, _edge_prob, _LevelPairSums,
-                           make_prdrg_loglik, make_trophic_expected_edges,
-                           make_trophic_loglik)
+                           _observed_excess, make_prdrg_loglik,
+                           make_trophic_expected_edges, make_trophic_loglik)
 from helpers import (adjacency, block_cycle_graph, direct_bernoulli_loglik,
                      direct_trophic_expected_edges, exact_prdrg_expected_edges,
                      exact_prdrg_loglik, level_fixtures,
@@ -142,6 +142,20 @@ class TestPrdrgLoglik:
         graph = DirectedGraph(2, ((0, 1),), weights=(0.5,))
         with pytest.raises(ValueError):
             prdrg_loglik(graph, PRDRGParams(np.zeros(2), 1.0, 0.25))
+
+    def test_observed_excess_is_one_cosine_per_edge(self):
+        # shifting a reciprocated edge's beta by 0.0 leaves it unchanged, so
+        # one cosine per edge gives exactly the sum of the two-cosine form
+        rng = np.random.default_rng(12)
+        graph = random_graph(rng, 40, 0.2)
+        assert graph.reciprocated.any() and not graph.reciprocated.all()
+        theta = rng.uniform(0, TWO_PI, graph.n)
+        src, dst = graph.edge_index.T
+        beta = theta[src] - theta[dst]
+        for g in (0.0, 0.2, 1 / 3, 0.5):
+            two_cosines = np.where(graph.reciprocated, np.cos(beta),
+                                   np.cos(beta + TWO_PI * g))
+            assert _observed_excess(graph, theta, g) == float(np.sum(two_cosines - 1.0))
 
 
 def assert_pair_sums_match_oracle(graph, theta, g, gammas=ORACLE_GAMMAS):
