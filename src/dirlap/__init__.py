@@ -14,7 +14,8 @@ from .graphs import (DirectedGraph, EdgeListError, GraphStructureError,
                      symmetrize)
 from .inference import (DEFAULT_G_CANDIDATES, ComparisonReport, GammaFit,
                         GCandidateFit, ModelFit, SelectGResult, compare_models,
-                        fit_gamma_density, fit_gamma_mle, select_g)
+                        fit_gamma_density, fit_gamma_mle, likelihood_curve,
+                        select_g)
 from .models import (KernelModel, PRDRGParams, TrophicParams,
                      gen_clustered_angles, gen_trophic_levels, kernel_loglik,
                      prdrg_expected_edges, prdrg_loglik, prdrg_pair_probs,
@@ -44,6 +45,6 @@ __all__ = [
     "weighted_trophic_logdensity",
     "DEFAULT_G_CANDIDATES", "ComparisonReport", "GammaFit", "GCandidateFit",
     "ModelFit", "SelectGResult", "compare_models", "fit_gamma_density",
-    "fit_gamma_mle", "select_g",
+    "fit_gamma_mle", "likelihood_curve", "select_g",
     "__version__",
 ]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import sys
 import warnings
@@ -20,12 +21,12 @@ from .graphs import (DirectedGraph, EdgeListError, GraphStructureError,
                      apply_ordering, csv_text, largest_scc, largest_wcc,
                      parse_edge_list, serialize_edge_list, serialize_ordering)
 from .inference import (GAMMA_MAX, GAMMA_MIN, ComparisonReport, compare_models,
-                        fit_gamma_density, fit_gamma_mle, select_g)
-from .models import (PRDRGParams, TrophicParams, gen_clustered_angles,
-                     gen_trophic_levels, make_prdrg_expected_edges,
-                     make_prdrg_loglik, make_trophic_expected_edges,
-                     make_trophic_loglik, prdrg_sample, trophic_sample,
-                     weighted_trophic_logdensity)
+                        fit_gamma_density, fit_gamma_mle, likelihood_curve,
+                        select_g)
+from .models import (PRDRGParams, TrophicParams, _LevelModel, _PairModel,
+                     gen_clustered_angles, gen_trophic_levels,
+                     make_weighted_trophic_logdensity, prdrg_sample,
+                     trophic_sample)
 from .spectral import (DegeneracyWarning, NumericalError, assignment_to_csv,
                        magnetic_algorithm, trophic_algorithm)
 
@@ -373,29 +374,25 @@ def cmd_curve(args) -> int:
     parsed = _load_graph(cfg.input_path, cfg.weighted)
     graph = parsed.graph
     attributes = _read_attributes(Path(args.attributes), graph)
-    density_expected = None
+    model = None    # the weight density of a weighted graph has no edge count
     if args.model == "prdrg":
         if graph.is_weighted:
             raise _StageError("input", "the prdrg curve requires an unweighted "
                               "edge list", EXIT_INPUT)
-        loglik = make_prdrg_loglik(graph, attributes, g)
-        density_expected = make_prdrg_expected_edges(attributes, g)
-    elif graph.is_weighted:
-        loglik = lambda gamma: weighted_trophic_logdensity(
-            graph, TrophicParams(attributes, gamma))
-    else:
-        loglik = make_trophic_loglik(graph, attributes)
-        density_expected = make_trophic_expected_edges(attributes)
-    # the table is the fit's own grid, so no gamma is probed twice
-    mle = fit_gamma_mle(loglik, cfg.gamma_min, cfg.gamma_max,
-                        grid_points=args.grid_points)
-    grid, values = mle.grid, mle.grid_loglik
+        model = _PairModel(attributes, g, graph)
+    elif not graph.is_weighted:
+        model = _LevelModel(attributes, graph)
+    loglik = model.loglik if model else make_weighted_trophic_logdensity(graph, attributes)
+    grid, values = likelihood_curve(loglik, cfg.gamma_min, cfg.gamma_max,
+                                    args.grid_points)
+    mle = fit_gamma_mle(functools.partial(loglik, derivatives=True),
+                        cfg.gamma_min, cfg.gamma_max)
     density_gamma = None
-    if density_expected is not None:
+    if model is not None:
         try:
-            density_gamma = fit_gamma_density(density_expected,
-                                              graph.edge_count,
-                                              gamma_max=cfg.gamma_max)
+            density_gamma = fit_gamma_density(
+                functools.partial(model.expected_edges, derivatives=True),
+                graph.edge_count, gamma_max=cfg.gamma_max)
         except ValueError as exc:
             print(f"notice: no density-matching estimate: {exc}",
                   file=sys.stderr)

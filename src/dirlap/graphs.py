@@ -125,12 +125,7 @@ class DirectedGraph:
     @functools.cached_property
     def reciprocated(self) -> np.ndarray:
         """Read-only per-edge mask: True where the reverse edge is present too."""
-        paired = _paired_with_reverse(self).data
-        # the entries with a nonzero real part are the edges, in CSR order,
-        # which is the order of edge_index
-        mask = paired.imag[paired.real != 0] != 0
-        mask.setflags(write=False)
-        return mask
+        return _reciprocated_mask(_paired_with_reverse(self))
 
     @functools.cached_property
     def _weakly_connected(self) -> bool:
@@ -516,16 +511,29 @@ def _paired_with_reverse(graph: DirectedGraph) -> csr_matrix:
     return paired
 
 
+def _reciprocated_mask(paired: csr_matrix) -> np.ndarray:
+    """The read-only ``reciprocated`` mask from C = _paired_with_reverse."""
+    data = paired.data
+    # the entries with a nonzero real part are the edges, in CSR order,
+    # which is the order of edge_index
+    mask = data.imag[data.real != 0] != 0
+    mask.setflags(write=False)
+    return mask
+
+
 def _symmetrize(graph: DirectedGraph) -> SymmetrizedView:
     """The view of any graph, weights included (1 per edge when unweighted).
 
     One CSR transpose pairs each edge with its reverse: on the pattern of
     C = W + 1j * W^T, ``wsym`` is (Re C + Im C)/2 and ``alpha`` is
     Re C - Im C.  A reciprocated pair of equal weights keeps an explicit 0
-    in ``alpha``.  O(n + m) time, with no sort of the edges.
+    in ``alpha``.  The same C fills the graph's ``reciprocated`` cache when
+    it is empty.  O(n + m) time, with no sort of the edges.
     """
     n = graph.n
     paired = _paired_with_reverse(graph)
+    if "reciprocated" not in graph.__dict__:
+        graph.__dict__["reciprocated"] = _reciprocated_mask(paired)
     forward, backward = paired.data.real, paired.data.imag
     wsym = (forward + backward) / 2.0
     rows = np.repeat(np.arange(n), np.diff(paired.indptr))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -9,8 +10,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .graphs import DirectedGraph, GraphStructureError
-from .models import (make_prdrg_expected_edges, make_prdrg_loglik,
-                     make_trophic_expected_edges, make_trophic_loglik)
+from .models import _LevelModel, _PairModel, _PairSumModel
 from .spectral import (NumericalError, PhaseAssignment, TrophicAssignment,
                        _magnetic_phases, _magnetic_view, _trophic_levels)
 
@@ -20,119 +20,112 @@ DEFAULT_G_CANDIDATES = (1 / 2, 1 / 3, 1 / 4, 1 / 5, 1 / 6)
 GAMMA_MIN = 1e-3
 GAMMA_MAX = 50.0
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0
+_MAX_STEPS = 100        # safeguarded Newton steps before giving up
 
 
-def _probe(fn: Callable[[float], float], x: float) -> float:
-    value = float(fn(x))
-    if not math.isfinite(value):
+def _probe(fn: Callable, x: float):
+    """fn(x) as a float, or a list of floats for a tuple; every value finite."""
+    values = np.asarray(fn(x), dtype=float)
+    if not np.isfinite(values).all():
         raise NumericalError(f"objective is not finite at gamma={x:g}")
-    return value
+    return values.tolist()
 
 
-def _golden_max(fn, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximization on [lo, hi] to absolute tolerance tol.
+def _decreasing_root(probe: Callable[[float], list], lo: float, hi: float,
+                     x: float, y: float, slope: float, atol: float,
+                     rtol: float) -> float:
+    """Root of a decreasing y(gamma) with y(lo) > 0 > y(hi), from a point
+    x in [lo, hi] where y and its slope are known.
 
-    Returns the best probed point, which for a unimodal objective lies
-    within tol of the maximizer.
+    ``probe(gamma)`` returns y, y' and anything else after them.  Each step
+    is Newton's on gamma * y(gamma), which has the same root and is linear
+    in gamma for a score like a/gamma - b; a step that leaves the shrinking
+    bracket, or a slope that does not point into it, is replaced by
+    bisection in log gamma.  The first step shorter than atol + rtol *
+    gamma is the last, and its end is returned unprobed.
     """
-    span = hi - lo
-    if span <= tol:
-        mid = 0.5 * (lo + hi)
-        return mid, _probe(fn, mid)
-    steps = int(math.ceil(math.log(tol / span) / math.log(_INV_PHI)))
-    c = lo + _INV_PHI_SQ * span
-    d = lo + _INV_PHI * span
-    yc = _probe(fn, c)
-    yd = _probe(fn, d)
-    best_x, best_y = (c, yc) if yc >= yd else (d, yd)
-    for _ in range(max(steps - 1, 0)):
-        if yc > yd:
-            hi = d
-            d, yd = c, yc
-            span *= _INV_PHI
-            c = lo + _INV_PHI_SQ * span
-            yc = _probe(fn, c)
+    for _ in range(_MAX_STEPS):
+        scaled_slope = y + x * slope        # of gamma * y, at x
+        new = x - x * y / scaled_slope if scaled_slope < 0 else hi
+        if not lo < new < hi:               # bisect in log gamma
+            new = math.sqrt(lo * hi)
+        if abs(new - x) <= atol + rtol * x:
+            return new
+        x = new
+        y, slope = probe(x)[:2]
+        if y == 0:
+            return x
+        if y > 0:
+            lo = x
         else:
-            lo = c
-            c, yc = d, yd
-            span *= _INV_PHI
-            d = lo + _INV_PHI * span
-            yd = _probe(fn, d)
-        if yc > best_y:
-            best_x, best_y = c, yc
-        if yd > best_y:
-            best_x, best_y = d, yd
-    return best_x, best_y
+            hi = x
+    raise NumericalError(f"decay-rate search did not converge in {_MAX_STEPS} steps")
 
 
 @dataclass(frozen=True)
 class GammaFit:
     """Result of a one-dimensional decay-rate fit.
 
-    ``at_upper_bound`` flags a maximum sitting on the gamma_max boundary,
-    which happens on very sparse networks where the likelihood keeps
-    rising over the whole tested range.  ``at_lower_bound`` flags a
-    returned gamma equal to gamma_min, where the likelihood falls from
-    gamma_min on (e.g. dense graphs without the model's structure).
-    ``grid`` and ``grid_loglik`` are the coarse probe points, kept for
-    reporting likelihood curves.
+    ``at_upper_bound`` flags a maximum on the gamma_max boundary: the
+    score is >= 0 there, which happens on very sparse networks where the
+    likelihood keeps rising over the whole tested range.  ``at_lower_bound``
+    flags a maximum on gamma_min, where the score is <= 0 (e.g. dense
+    graphs without the model's structure).
     """
 
     gamma: float
     loglik: float
     at_upper_bound: bool
     at_lower_bound: bool
-    grid: np.ndarray
-    grid_loglik: np.ndarray
-
-    def __post_init__(self):
-        self.grid.setflags(write=False)
-        self.grid_loglik.setflags(write=False)
 
 
-def fit_gamma_mle(loglik: Callable[[float], float], gamma_min: float = GAMMA_MIN,
-                  gamma_max: float = GAMMA_MAX, grid_points: int = 32,
+def fit_gamma_mle(objective: Callable[[float], tuple[float, float, float]],
+                  gamma_min: float = GAMMA_MIN, gamma_max: float = GAMMA_MAX,
                   tol: float = 1e-6) -> GammaFit:
-    """Maximize a log-likelihood over the decay rate.
+    """Maximize a concave log-likelihood over the decay rate.
 
-    A coarse logarithmic grid locates the bracketing triple, then
-    golden-section refinement pins the maximizer to absolute tolerance
-    ``tol``; a best grid point with none above it is bracketed by
-    gamma_max.  Raises NumericalError if the objective is non-finite at
-    any probe point.
+    ``objective(gamma)`` returns the log-likelihood with its first and
+    second derivatives in gamma.  The score's sign at gamma_min and
+    gamma_max decides whether the maximum sits on a bound; otherwise
+    safeguarded Newton steps (_decreasing_root) find the score's root to
+    absolute tolerance ``tol``.  Raises NumericalError if the objective is
+    non-finite at any probe point.
     """
     if not (0 < gamma_min < gamma_max):
         raise ValueError("need 0 < gamma_min < gamma_max")
-    grid = np.geomspace(gamma_min, gamma_max, grid_points)
-    values = np.array([_probe(loglik, float(x)) for x in grid])
-    best = int(np.argmax(values))
-    if len(grid) > 1 and best == len(grid) - 1:
-        return GammaFit(float(grid[-1]), float(values[-1]), True, False,
-                        grid, values)
-    lo = float(grid[max(best - 1, 0)])
-    hi = float(grid[best + 1]) if best + 1 < len(grid) else gamma_max
-    gamma, value = _golden_max(loglik, lo, hi, tol)
-    if values[best] > value:
-        gamma, value = float(grid[best]), float(values[best])
-    return GammaFit(float(gamma), float(value), False, gamma == gamma_min,
-                    grid, values)
+
+    def probe(x):
+        value, score, curvature = _probe(objective, x)
+        return [score, curvature, value]
+
+    low = probe(gamma_min)
+    if low[0] <= 0:
+        return GammaFit(gamma_min, low[2], False, True)
+    high = probe(gamma_max)
+    if high[0] >= 0:
+        return GammaFit(gamma_max, high[2], True, False)
+    gamma = _decreasing_root(probe, gamma_min, gamma_max, gamma_max, *high[:2],
+                             tol, 0.0)
+    return GammaFit(gamma, probe(gamma)[2], False, False)
 
 
-def fit_gamma_density(expected_edges: Callable[[float], float], observed: float,
-                      gamma_min: float = 1e-6, gamma_max: float = GAMMA_MAX,
-                      rel_tol: float = 1e-6) -> float:
+def fit_gamma_density(expected_edges: Callable[[float], tuple[float, float]],
+                      observed: float, gamma_min: float = 1e-6,
+                      gamma_max: float = GAMMA_MAX, rel_tol: float = 1e-6) -> float:
     """Decay rate at which the expected edge count matches the observed one.
 
-    Bisection on [gamma_min, gamma_max] exploiting that the expected count
-    is nonincreasing in gamma.  Raises ValueError when the observed count
-    lies outside the attainable range or when the expected count does not
-    vary over the interval (no root can be isolated).
+    ``expected_edges(gamma)`` returns the expected count and its derivative
+    in gamma.  The count is nonincreasing in gamma, so safeguarded Newton
+    steps (_decreasing_root) find the match on [gamma_min, gamma_max] to
+    relative tolerance ``rel_tol``.  Raises ValueError when the observed
+    count lies outside the attainable range or when the expected count does
+    not vary over the interval (no root can be isolated).
     """
+    if not (0 < gamma_min < gamma_max):
+        raise ValueError("need 0 < gamma_min < gamma_max")
     high = _probe(expected_edges, gamma_min)
     low = _probe(expected_edges, gamma_max)
-    upper, lower = max(high, low), min(high, low)
+    upper, lower = max(high[0], low[0]), min(high[0], low[0])
     slack = 1e-9 * (1.0 + abs(upper))
     if upper - lower <= slack:
         raise ValueError(
@@ -142,14 +135,26 @@ def fit_gamma_density(expected_edges: Callable[[float], float], observed: float,
         raise ValueError(
             f"observed edge count {observed:g} outside the attainable "
             f"range [{lower:.6g}, {upper:.6g}]")
-    lo, hi = gamma_min, gamma_max
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if _probe(expected_edges, mid) > observed:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    if high[0] <= observed:
+        return gamma_min
+    if low[0] >= observed:
+        return gamma_max
+
+    def probe(x):
+        count, slope = _probe(expected_edges, x)
+        return [count - observed, slope]
+
+    return _decreasing_root(probe, gamma_min, gamma_max, gamma_max,
+                            low[0] - observed, low[1], 0.0, rel_tol)
+
+
+def likelihood_curve(loglik: Callable[[float], float], gamma_min: float = GAMMA_MIN,
+                     gamma_max: float = GAMMA_MAX,
+                     points: int = 32) -> tuple[np.ndarray, np.ndarray]:
+    """The log-likelihood on ``points`` log-spaced rates from gamma_min to
+    gamma_max, by plain value probes ``loglik(gamma)``."""
+    grid = np.geomspace(gamma_min, gamma_max, points)
+    return grid, np.array([_probe(loglik, float(x)) for x in grid])
 
 
 @dataclass(frozen=True)
@@ -180,7 +185,7 @@ def select_g(graph: DirectedGraph, candidates: Sequence[float] = DEFAULT_G_CANDI
     wins, ties breaking toward the larger rotation (fewer clusters).
     """
     _, phases = _candidate_phases(graph, candidates)
-    return _select_g(graph, phases, gamma_min, gamma_max)
+    return _select_g(graph, phases, gamma_min, gamma_max)[0]
 
 
 def _candidate_phases(graph: DirectedGraph, candidates: Sequence[float]):
@@ -195,13 +200,15 @@ def _candidate_phases(graph: DirectedGraph, candidates: Sequence[float]):
 
 
 def _select_g(graph: DirectedGraph, phases: Sequence[PhaseAssignment],
-              gamma_min: float, gamma_max: float) -> SelectGResult:
-    gamma_fits = [fit_gamma_mle(make_prdrg_loglik(graph, p.theta, p.g),
-                                gamma_min, gamma_max) for p in phases]
+              gamma_min: float, gamma_max: float) -> tuple[SelectGResult, _PairModel]:
+    """The selection and the winning candidate's pair model."""
+    models = [_PairModel(p.theta, p.g, graph) for p in phases]
+    gamma_fits = [fit_gamma_mle(functools.partial(m.loglik, derivatives=True),
+                                gamma_min, gamma_max) for m in models]
     fits = tuple(GCandidateFit(p.g, f.gamma, f.loglik, f.at_upper_bound, f.at_lower_bound)
                  for p, f in zip(phases, gamma_fits))
     best = max(range(len(fits)), key=lambda k: (fits[k].loglik, fits[k].g))
-    return SelectGResult(fits, fits[best], phases[best], gamma_fits[best])
+    return SelectGResult(fits, fits[best], phases[best], gamma_fits[best]), models[best]
 
 
 @dataclass(frozen=True)
@@ -211,7 +218,7 @@ class ModelFit:
     ``gamma_density`` is the density-matching point estimate when one
     exists (None otherwise); ``g`` is the winning rotation for the pair
     model and None for the level model.  ``curve_gamma``/``curve_loglik``
-    hold the coarse likelihood curve behind the fit.
+    hold the likelihood on the 32-point logarithmic grid of the gamma range.
     """
 
     model: str
@@ -248,19 +255,24 @@ class ComparisonReport:
     levels: TrophicAssignment
 
 
-def _density_estimate(expected: Callable[[float], float], observed: float,
-                      gamma_max: float) -> float | None:
+def _density_estimate(expected: Callable[[float], tuple[float, float]],
+                      observed: float, gamma_max: float) -> float | None:
     try:
         return fit_gamma_density(expected, observed, gamma_max=gamma_max)
     except ValueError:
         return None
 
 
-def _model_fit(model: str, fit: GammaFit, gamma_density: float | None,
-               g: float | None) -> ModelFit:
-    return ModelFit(model, fit.gamma, fit.loglik, gamma_density, g,
-                    fit.at_upper_bound, fit.at_lower_bound, fit.grid,
-                    fit.grid_loglik)
+def _model_fit(name: str, model: _PairSumModel, fit: GammaFit,
+               observed: int, g: float | None, gamma_min: float,
+               gamma_max: float) -> ModelFit:
+    """The fit of one model with its density match and likelihood curve,
+    all probed on the model's one set of pair sums."""
+    density = _density_estimate(
+        functools.partial(model.expected_edges, derivatives=True), observed, gamma_max)
+    curve = likelihood_curve(model.loglik, gamma_min, gamma_max)
+    return ModelFit(name, fit.gamma, fit.loglik, density, g, fit.at_upper_bound,
+                    fit.at_lower_bound, *curve)
 
 
 def compare_models(graph: DirectedGraph,
@@ -278,20 +290,15 @@ def compare_models(graph: DirectedGraph,
         raise ValueError("model comparison is defined for unweighted graphs")
     sym, phases = _candidate_phases(graph, candidates)
     levels = _trophic_levels(graph, sym)
-    del sym     # freed before the level model's n x n arrays are made
-    selection = _select_g(graph, phases, gamma_min, gamma_max)
-    prdrg_density = _density_estimate(
-        make_prdrg_expected_edges(selection.assignment.theta, selection.best.g),
-        graph.edge_count, gamma_max)
-    prdrg_fit = _model_fit("directed-pRDRG", selection.gamma_fit,
-                           prdrg_density, selection.best.g)
-    trophic_gamma_fit = fit_gamma_mle(make_trophic_loglik(graph, levels.h),
-                                      gamma_min, gamma_max)
-    trophic_density = _density_estimate(
-        make_trophic_expected_edges(levels.h),
-        graph.edge_count, gamma_max)
-    trophic_fit = _model_fit("trophic-RDRG", trophic_gamma_fit,
-                             trophic_density, None)
+    del sym     # freed before the likelihood fits
+    selection, pair_model = _select_g(graph, phases, gamma_min, gamma_max)
+    prdrg_fit = _model_fit("directed-pRDRG", pair_model, selection.gamma_fit,
+                           graph.edge_count, selection.best.g, gamma_min, gamma_max)
+    level_model = _LevelModel(levels.h, graph)
+    level_fit = fit_gamma_mle(functools.partial(level_model.loglik, derivatives=True),
+                              gamma_min, gamma_max)
+    trophic_fit = _model_fit("trophic-RDRG", level_model, level_fit,
+                             graph.edge_count, None, gamma_min, gamma_max)
     log_ratio = prdrg_fit.loglik_at_mle - trophic_fit.loglik_at_mle
     return ComparisonReport(
         per_g=selection.fits,

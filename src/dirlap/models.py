@@ -16,6 +16,7 @@ rates (gamma up to ~50) do not overflow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -131,6 +132,8 @@ def prdrg_pair_probs(theta_i: float, theta_j: float, gamma: float,
 # O(n^2).  The coefficients come from an rfft of f on M points; M doubles
 # from _MIN_GRID until the sampled coefficients above M/4 are at the
 # rounding level of the samples, and only the modes below M/4 are summed.
+# A probe sums a stack of rows, a function and its gamma-derivatives, on
+# the one M that resolves every row.
 
 _MIN_GRID = 256
 _MAX_GRID = 1 << 16      # enough for gamma up to ~1e4
@@ -169,18 +172,20 @@ class _AngleSpectrum:
         return self._power[:modes]
 
 
-def _pair_sum(spectrum: _AngleSpectrum, f: Callable[[np.ndarray], np.ndarray],
-              gamma: float) -> float:
-    """sum_{i<j} f(theta_i - theta_j) for an even, smooth 2*pi-periodic f.
+def _pair_sum(spectrum: _AngleSpectrum, rows: Callable[[np.ndarray], np.ndarray],
+              gamma: float) -> np.ndarray:
+    """sum_{i<j} f(theta_i - theta_j) for each row f of ``rows(beta)``, an
+    (R, len(beta)) stack of even, smooth 2*pi-periodic functions.
 
-    Raises NumericalError when f is too sharp to resolve with _MAX_GRID
+    Raises NumericalError when a row is too sharp to resolve with _MAX_GRID
     points (very large gamma), rather than returning a truncated sum.
     """
     grid = _MIN_GRID
     while True:
-        values = f(TWO_PI / grid * np.arange(grid))
-        coef = np.fft.rfft(values).real / grid
-        if np.abs(coef[grid // 4:]).max() <= _TAIL_TOL * np.abs(values).max():
+        values = rows(TWO_PI / grid * np.arange(grid))
+        coef = np.fft.rfft(values, axis=1).real / grid
+        tail = np.abs(coef[:, grid // 4:]).max(axis=1)
+        if (tail <= _TAIL_TOL * np.abs(values).max(axis=1)).all():
             break
         grid *= 2
         if grid > _MAX_GRID:
@@ -189,16 +194,49 @@ def _pair_sum(spectrum: _AngleSpectrum, f: Callable[[np.ndarray], np.ndarray],
                 f"{_MAX_GRID // 4} Fourier modes; use a smaller decay rate")
     modes = grid // 4
     power = spectrum.power(modes)
-    total = coef[0] * power[0] + 2.0 * np.dot(coef[1:modes], power[1:])
-    return 0.5 * (total - spectrum.n * values[0])
+    totals = np.array([c[0] * power[0] + 2.0 * np.dot(c[1:modes], power[1:])
+                       for c in coef])
+    return 0.5 * (totals - spectrum.n * values[:, 0])
 
 
-def _outcome_weights(beta: np.ndarray, gamma: float, g: float):
-    """exp(gamma * (b - b_none)) for the reciprocal, forward and backward
-    outcomes; every value lies in [0, 1] since 'none' has the top exponent."""
-    return (np.exp(gamma * (2.0 * np.cos(beta) - 2.0)),
-            np.exp(gamma * (np.cos(beta + TWO_PI * g) - 1.0)),
-            np.exp(gamma * (np.cos(beta - TWO_PI * g) - 1.0)))
+def _outcome_excess(beta: np.ndarray, g: float):
+    """b - b_none for the reciprocal, forward and backward outcomes; every
+    value is <= 0, since 'none' has the top exponent."""
+    return (2.0 * np.cos(beta) - 2.0,
+            np.cos(beta + TWO_PI * g) - 1.0,
+            np.cos(beta - TWO_PI * g) - 1.0)
+
+
+def _pair_rows(gamma: float, g: float, expected: bool, derivatives: bool):
+    """Row stack of one pair's term as a function of beta.
+
+    The term is log Z - gamma*b_none = log1p(sum of w), with w =
+    exp(gamma * (b - b_none)) in [0, 1] for the reciprocal, forward and
+    backward outcomes, or the expected edge count E[c] = 2f + q + l when
+    ``expected``.  With ``derivatives`` the stack adds their
+    gamma-derivatives: E[a] and Var[a] for log Z, Cov[c, a] for the count,
+    where a = b - b_none and c are the outcome's exponent excess and edge
+    count (both 0 for 'none').
+    """
+    def rows(beta):
+        excess = _outcome_excess(beta, g)
+        both, fwd, bwd = weights = [np.exp(gamma * a) for a in excess]
+        if expected:
+            term = (2.0 * both + fwd + bwd) / (1.0 + both + fwd + bwd)
+        else:
+            term = np.log1p(both + fwd + bwd)
+        if not derivatives:
+            return term[None]
+        norm = 1.0 + both + fwd + bwd
+        moments = [a * w / norm for a, w in zip(excess, weights)]     # a * P
+        mean = sum(moments)
+        if expected:
+            return np.stack([term, 2.0 * moments[0] + moments[1] + moments[2]
+                             - term * mean])
+        square = sum(m * a for m, a in zip(moments, excess))
+        return np.stack([term, mean, square - mean * mean])
+
+    return rows
 
 
 def _observed_excess(graph: DirectedGraph, theta: np.ndarray, g: float) -> float:
@@ -217,33 +255,70 @@ def _observed_excess(graph: DirectedGraph, theta: np.ndarray, g: float) -> float
                         - 1.0))
 
 
-def make_prdrg_loglik(graph: DirectedGraph, theta, g: float) -> Callable[[float], float]:
-    """Precompute the angle terms and return gamma -> log-likelihood.
+class _PairSumModel:
+    """A random-graph model whose log-likelihood is gamma * slope less a
+    pair sum S(gamma), with ``slope`` an O(m) edge term taken once (None
+    without a graph), and whose expected edge count is a pair sum N(gamma).
+    Subclasses give ``_sums(gamma, expected, derivatives)``: S, or N when
+    ``expected``, followed by its gamma-derivatives when ``derivatives``.
+
+    ``loglik(gamma, derivatives=True)`` returns (l, l', l'') and
+    ``expected_edges(gamma, derivatives=True)`` (N, N'), each from one pass
+    of the pair sums; without ``derivatives`` they return the value alone.
+    """
+
+    slope: float | None
+
+    def loglik(self, gamma: float, derivatives: bool = False):
+        gamma = _check_gamma(gamma)
+        sums = self._sums(gamma, False, derivatives)
+        value = float(gamma * self.slope - sums[0])
+        if not derivatives:
+            return value
+        return value, float(self.slope - sums[1]), float(-sums[2])
+
+    def expected_edges(self, gamma: float, derivatives: bool = False):
+        sums = self._sums(_check_gamma(gamma), True, derivatives)
+        return float(sums[0]) if not derivatives else (float(sums[0]), float(sums[1]))
+
+
+class _PairModel(_PairSumModel):
+    """The pair model of one angle vector at one rotation: its
+    log-likelihood (given a graph) and its expected edge count, both
+    summed on one _AngleSpectrum.
 
     Each pair contributes gamma*b_observed - log Z, and log Z equals
-    gamma*b_none + log(1 + sum of _outcome_weights).  The gamma*b_none
+    gamma*b_none + log(1 + sum of the weights w of _pair_rows).  The gamma*b_none
     parts cancel against the observed term except on pairs with an edge,
     so the likelihood is gamma * _observed_excess - sum over pairs of
-    log1p(...), the latter a Fourier pair sum.  Setup is O(n*K + m) and
-    a probe O(M log M).
+    log1p(...), the latter a Fourier pair sum; the expected count is the
+    Fourier pair sum of 2f + q + l.  Setup is O(n*K + m) and a probe
+    O(M log M).
     """
-    if graph.is_weighted:
-        raise ValueError("the pair model is defined for unweighted graphs")
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (graph.n,):
-        raise ValueError(f"theta has length {theta.size}, expected {graph.n}")
-    g = _check_rotation(g)
-    spectrum = _AngleSpectrum(theta)
-    excess = _observed_excess(graph, theta, g)
 
-    def loglik(gamma: float) -> float:
-        gamma = _check_gamma(gamma)
-        log_z_excess = _pair_sum(
-            spectrum, lambda beta: np.log1p(sum(_outcome_weights(beta, gamma, g))),
-            gamma)
-        return float(gamma * excess - log_z_excess)
+    def __init__(self, theta, g: float, graph: DirectedGraph | None = None):
+        theta = np.asarray(theta, dtype=float)
+        if graph is not None:
+            if graph.is_weighted:
+                raise ValueError("the pair model is defined for unweighted graphs")
+            if theta.shape != (graph.n,):
+                raise ValueError(f"theta has length {theta.size}, expected {graph.n}")
+        self.g = _check_rotation(g)
+        self.spectrum = _AngleSpectrum(theta)
+        self.slope = None if graph is None else _observed_excess(graph, theta, self.g)
 
-    return loglik
+    def _sums(self, gamma: float, expected: bool, derivatives: bool) -> np.ndarray:
+        return _pair_sum(self.spectrum, _pair_rows(gamma, self.g, expected, derivatives),
+                         gamma)
+
+
+def make_prdrg_loglik(graph: DirectedGraph, theta, g: float) -> Callable[..., float]:
+    """Precompute the angle terms and return gamma -> log-likelihood.
+
+    The probe takes ``derivatives=True`` for (l, l', l'') in gamma; see
+    _PairModel for the method and its costs.
+    """
+    return _PairModel(theta, g, graph).loglik
 
 
 def prdrg_loglik(graph: DirectedGraph, params: PRDRGParams) -> float:
@@ -270,26 +345,13 @@ def prdrg_sample(params: PRDRGParams, seed) -> DirectedGraph:
     return DirectedGraph(n, np.column_stack((src, dst)))
 
 
-def make_prdrg_expected_edges(theta, g: float) -> Callable[[float], float]:
+def make_prdrg_expected_edges(theta, g: float) -> Callable[..., float]:
     """Precompute the angle terms and return gamma -> expected edge count.
 
-    The per-pair count 2f + q + l is a Fourier pair sum, as in
-    make_prdrg_loglik, so each gamma costs O(M log M) after the setup.
+    The probe takes ``derivatives=True`` for (N, N') in gamma; see
+    _PairModel.
     """
-    theta = np.asarray(theta, dtype=float)
-    g = _check_rotation(g)
-    spectrum = _AngleSpectrum(theta)
-
-    def expected(gamma: float) -> float:
-        gamma = _check_gamma(gamma)
-
-        def per_pair(beta):
-            both, fwd, bwd = _outcome_weights(beta, gamma, g)
-            return (2.0 * both + fwd + bwd) / (1.0 + both + fwd + bwd)
-
-        return float(_pair_sum(spectrum, per_pair, gamma))
-
-    return expected
+    return _PairModel(theta, g).expected_edges
 
 
 def prdrg_expected_edges(theta, gamma: float, g: float) -> float:
@@ -313,6 +375,32 @@ def _absent_neglogprob(x: np.ndarray) -> np.ndarray:
     return np.log1p(np.exp(np.negative(x, out=x), out=x), out=x)
 
 
+def _edge_rows(q: np.ndarray, gamma: float, out: np.ndarray) -> np.ndarray:
+    """P(edge) = 1 / (1 + exp(gamma * q)) for squared gaps q, in out[0], and
+    with a second row its gamma-derivative -q * P * (1 - P) in out[1]."""
+    prob = _edge_prob(np.multiply(gamma, q, out=out[0]))
+    if len(out) > 1:
+        slope = np.subtract(1.0, prob, out=out[1])
+        slope *= prob
+        slope *= q
+        np.negative(slope, out=slope)
+    return out
+
+
+def _absent_rows(q: np.ndarray, gamma: float, out: np.ndarray) -> np.ndarray:
+    """-log P(no edge) = log1p(exp(-gamma * q)) for squared gaps q, in
+    out[0], and with three rows its gamma-derivatives -q * P and
+    q^2 * P * (1 - P) in out[1] and out[2], P = P(edge)."""
+    if len(out) > 1:
+        _edge_rows(q, gamma, out[1:])       # P, -q * P * (1 - P)
+        np.multiply(out[2], q, out=out[2])
+        np.negative(out[2], out=out[2])
+        np.multiply(out[1], q, out=out[1])
+        np.negative(out[1], out=out[1])
+    _absent_neglogprob(np.multiply(gamma, q, out=out[0]))
+    return out
+
+
 def _level_penalty(h: np.ndarray) -> np.ndarray:
     """The n x n penalties (h_j - h_i - 1)^2, built in one array."""
     penalty = np.subtract.outer(h, h)       # h_i - h_j, the negated gap
@@ -320,18 +408,20 @@ def _level_penalty(h: np.ndarray) -> np.ndarray:
     return np.square(penalty, out=penalty)
 
 
-# Level-model pair sums by Chebyshev interpolation.  Let psi(d) =
-# f(gamma * (d - 1)^2) and R = max h - min h.  With t_p the P Chebyshev
+# Level-model pair sums by Chebyshev interpolation.  Let psi(d) be f at the
+# squared gap q = (d - 1)^2, and R = max h - min h.  With t_p the P Chebyshev
 # points of [min h, max h] and w_p = sum_i L_p(h_i) the summed barycentric
 # Lagrange weights of the levels on them,
-#     sum_{i,j} psi(h_j - h_i) = sum_{p,q} w_p w_q psi(t_q - t_p),
+#     sum_{i,j} psi(h_j - h_i) = sum_{p,r} w_p w_r psi(t_r - t_p),
 # exactly when psi is a polynomial of degree < P on [-R, R].  P doubles from
-# _MIN_NODES until the Chebyshev coefficients of psi on [-R, R] above 3P/4
-# are at the rounding level of its samples.  Once P reaches n the nodes are
+# _MIN_NODES until the Chebyshev coefficients on [-R, R] above 3P/4 of every
+# row psi of the probe's stack (a function and its gamma-derivatives) are
+# at the rounding level of its samples.  Once P reaches n the nodes are
 # the levels themselves with unit weights, and the sum is the exact one.
 
 _MIN_NODES = 32
-_BLOCK = 1 << 15         # entries of the block buffer every sum works in
+_BLOCK = 1 << 15         # entries of each block buffer a sum works in
+_MAX_ROWS = 3            # rows of the largest stack: a function, two derivatives
 
 
 def _chebyshev_points(lo: float, hi: float, count: int) -> np.ndarray:
@@ -343,30 +433,34 @@ def _chebyshev_points(lo: float, hi: float, count: int) -> np.ndarray:
     return points
 
 
-def _resolves(f: Callable[[np.ndarray], np.ndarray], gamma: float,
-              span: float, nodes: int) -> bool:
-    """Whether psi(d) = f(gamma * (d - 1)^2) on [-span, span] has its
-    Chebyshev coefficients above 3/4 of ``nodes`` at the rounding level.
+def _resolves(f: Callable, rows: int, gamma: float, span: float,
+              nodes: int) -> bool:
+    """Whether every row of psi(d), f at q = (d - 1)^2, on [-span, span]
+    has its Chebyshev coefficients above 3/4 of ``nodes`` at the rounding
+    level.
 
     The coefficients come from the FFT of the samples at ``nodes`` points,
     mirrored (a DCT-I), whose rounding floor stays below _TAIL_TOL.
     """
     d = _chebyshev_points(-span, span, nodes)
-    values = f(gamma * np.square(d - 1.0))
-    coef = np.fft.rfft(np.concatenate([values, values[-2:0:-1]])).real
-    tail = np.abs(coef[3 * nodes // 4:]).max() / (nodes - 1)
-    return tail <= _TAIL_TOL * np.abs(values).max()
+    values = f(np.square(d - 1.0), gamma, np.empty((rows, nodes)))
+    coef = np.fft.rfft(np.concatenate([values, values[:, -2:0:-1]], axis=1),
+                       axis=1).real
+    tail = np.abs(coef[:, 3 * nodes // 4:]).max(axis=1) / (nodes - 1)
+    return bool((tail <= _TAIL_TOL * np.abs(values).max(axis=1)).all())
 
 
 class _LevelPairSums:
-    """Sums over ordered pairs i != j of f(gamma * (h_j - h_i - 1)^2) for
-    one level vector h, the level model's counterpart of _AngleSpectrum and
+    """Sums over ordered pairs i != j of f at q = (h_j - h_i - 1)^2 for one
+    level vector h, the level model's counterpart of _AngleSpectrum and
     _pair_sum.
 
+    ``f(q, gamma, out)`` writes a stack of rows, as many as ``out`` has,
+    for the squared gaps q into ``out`` (see _edge_rows and _absent_rows).
     The Lagrange weights of each P are built once, in O(n*P) time, and
-    kept.  Every sum works in one buffer of _BLOCK entries that ``f``
-    writes over, so a probe allocates O(P) and no n x n array: call from
-    one thread at a time.
+    kept.  Every sum works in block buffers of _BLOCK entries allocated
+    once, so a probe allocates O(P) and no n x n array: call from one
+    thread at a time.
     """
 
     def __init__(self, h: np.ndarray):
@@ -374,22 +468,25 @@ class _LevelPairSums:
         self.n = len(h)
         self.lo, self.hi = (float(h.min()), float(h.max())) if self.n else (0.0, 0.0)
         self._grids: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._block = np.empty(_BLOCK)
+        self._buffer = np.empty((1 + _MAX_ROWS, _BLOCK))
 
-    def _blocks(self, count: int, width: int):
-        """(start, block) pairs: the buffer viewed as (rows, width) blocks
-        that together cover ``count`` rows."""
-        rows = max(1, _BLOCK // max(width, 1))
-        for start in range(0, count, rows):
-            stop = min(start + rows, count)
-            yield start, self._block[:(stop - start) * width].reshape(-1, width)
+    def _blocks(self, count: int, width: int, rows: int = 0):
+        """(start, block, out) for consecutive blocks of a count x width
+        array: ``block`` is the first buffer viewed as the block, and
+        ``out`` the next ``rows`` buffers viewed alike, stacked."""
+        height = max(1, _BLOCK // max(width, 1))
+        for start in range(0, count, height):
+            size = (min(start + height, count) - start) * width
+            views = self._buffer[:1 + rows, :size].reshape(1 + rows, -1, width)
+            yield start, views[0], views[1:]
 
-    def node_count(self, f: Callable[[np.ndarray], np.ndarray], gamma: float) -> int:
+    def node_count(self, f: Callable, gamma: float, rows: int = 1) -> int:
         """P for this probe: n for the exact sum, 1 when every level is equal."""
         if self.hi == self.lo:
             return min(self.n, 1)
         nodes = _MIN_NODES
-        while nodes < self.n and not _resolves(f, gamma, self.hi - self.lo, nodes):
+        while nodes < self.n and not _resolves(f, rows, gamma, self.hi - self.lo,
+                                               nodes):
             nodes *= 2
         return min(nodes, self.n)
 
@@ -408,7 +505,7 @@ class _LevelPairSums:
         lam = np.resize([1.0, -1.0], nodes)     # barycentric weights
         lam[[0, -1]] *= 0.5
         weights = np.zeros(nodes)
-        for start, block in self._blocks(self.n, nodes):
+        for start, block, _ in self._blocks(self.n, nodes):
             np.subtract.outer(self.h[start:start + len(block)], points, out=block)
             with np.errstate(divide="ignore"):
                 np.divide(lam, block, out=block)
@@ -420,16 +517,20 @@ class _LevelPairSums:
             weights += block.sum(axis=0)
         return points, weights
 
-    def sum(self, f: Callable[[np.ndarray], np.ndarray], gamma: float) -> float:
-        points, weights = self._grid(self.node_count(f, gamma))
-        total = 0.0
-        for start, block in self._blocks(len(points), len(points)):
-            np.subtract.outer(points[start:start + len(block)], points, out=block)
-            np.add(block, 1.0, out=block)       # t_p - t_q + 1 = -(t_q - t_p - 1)
-            np.square(block, out=block)
-            f(np.multiply(gamma, block, out=block))
-            total += float(weights[start:start + len(block)] @ (block @ weights))
-        return total - self.n * float(f(np.array([gamma]))[0])
+    def sum(self, f: Callable, gamma: float, rows: int = 1) -> np.ndarray:
+        """The pair sum of each of the ``rows`` rows of f, from one P."""
+        points, weights = self._grid(self.node_count(f, gamma, rows))
+        totals = [0.0] * rows
+        for start, gaps, out in self._blocks(len(points), len(points), rows):
+            np.subtract.outer(points[start:start + len(gaps)], points, out=gaps)
+            np.add(gaps, 1.0, out=gaps)         # t_p - t_q + 1 = -(t_q - t_p - 1)
+            np.square(gaps, out=gaps)
+            f(gaps, gamma, out)
+            part = weights[start:start + len(gaps)]
+            for r in range(rows):
+                totals[r] += float(part @ (out[r] @ weights))
+        diagonal = f(np.ones(1), gamma, np.empty((rows, 1)))[:, 0]
+        return np.array(totals) - self.n * diagonal
 
 
 def trophic_edge_prob(h_i, h_j, gamma: float):
@@ -444,31 +545,46 @@ def trophic_edge_prob(h_i, h_j, gamma: float):
     return float(out) if np.isscalar(h_i) and np.isscalar(h_j) else out
 
 
-def make_trophic_loglik(graph: DirectedGraph, h) -> Callable[[float], float]:
-    """Precompute the level terms and return gamma -> log-likelihood.
+class _LevelModel(_PairSumModel):
+    """The Bernoulli level model of one level vector: its log-likelihood
+    (given a graph) and its expected edge count, both summed on one
+    _LevelPairSums.
 
     As log P(edge) = log P(no edge) - x with x = gamma * (h_j - h_i - 1)^2,
     the log-likelihood is -gamma times the edges' squared gaps, an O(m) sum
     taken once, less the pair sum of -log P(no edge) = log1p(exp(-x)) over
-    all ordered pairs, a Chebyshev pair sum (_LevelPairSums).  Setup is
-    O(n + m); a probe costs O(P^2) with P <= n nodes, and O(n * P) more the
-    first time it needs a new P.  Call from one thread at a time.
+    all ordered pairs; the expected count is the pair sum of P(edge).
+    Setup is O(n + m); a probe costs O(P^2) with P <= n nodes, and O(n * P)
+    more the first time it needs a new P.  Call from one thread at a time.
     """
-    if graph.is_weighted:
-        raise ValueError("the Bernoulli level model is defined for "
-                         "unweighted graphs; see weighted_trophic_logdensity")
-    h = np.asarray(h, dtype=float)
-    if h.shape != (graph.n,):
-        raise ValueError(f"h has length {h.size}, expected {graph.n}")
-    pairs = _LevelPairSums(h)
-    src, dst = graph.edge_index.T
-    edge_penalty = float(np.square(h[src] - h[dst] + 1.0).sum())
 
-    def loglik(gamma: float) -> float:
-        gamma = _check_gamma(gamma)
-        return -gamma * edge_penalty - pairs.sum(_absent_neglogprob, gamma)
+    def __init__(self, h, graph: DirectedGraph | None = None):
+        h = np.asarray(h, dtype=float)
+        self.slope = None
+        if graph is not None:
+            if graph.is_weighted:
+                raise ValueError("the Bernoulli level model is defined for "
+                                 "unweighted graphs; see weighted_trophic_logdensity")
+            if h.shape != (graph.n,):
+                raise ValueError(f"h has length {h.size}, expected {graph.n}")
+            src, dst = graph.edge_index.T
+            # minus the edges' squared gaps
+            self.slope = -float(np.square(h[src] - h[dst] + 1.0).sum())
+        self.pairs = _LevelPairSums(h)
 
-    return loglik
+    def _sums(self, gamma: float, expected: bool, derivatives: bool) -> np.ndarray:
+        if expected:
+            return self.pairs.sum(_edge_rows, gamma, 2 if derivatives else 1)
+        return self.pairs.sum(_absent_rows, gamma, 3 if derivatives else 1)
+
+
+def make_trophic_loglik(graph: DirectedGraph, h) -> Callable[..., float]:
+    """Precompute the level terms and return gamma -> log-likelihood.
+
+    The probe takes ``derivatives=True`` for (l, l', l'') in gamma; see
+    _LevelModel for the method and its costs.
+    """
+    return _LevelModel(h, graph).loglik
 
 
 def trophic_loglik(graph: DirectedGraph, params: TrophicParams) -> float:
@@ -486,15 +602,13 @@ def trophic_sample(params: TrophicParams, seed) -> DirectedGraph:
     return DirectedGraph(n, np.argwhere(adj))
 
 
-def make_trophic_expected_edges(h) -> Callable[[float], float]:
+def make_trophic_expected_edges(h) -> Callable[..., float]:
     """Precompute the level terms and return gamma -> expected edge count.
 
-    The count is the Chebyshev pair sum (_LevelPairSums) of the edge
-    probability over all ordered pairs i != j, at the costs given in
-    make_trophic_loglik.  Call from one thread at a time.
+    The probe takes ``derivatives=True`` for (N, N') in gamma; see
+    _LevelModel.
     """
-    pairs = _LevelPairSums(np.asarray(h, dtype=float))
-    return lambda gamma: pairs.sum(_edge_prob, _check_gamma(gamma))
+    return _LevelModel(h).expected_edges
 
 
 def trophic_expected_edges(h, gamma: float) -> float:
@@ -515,6 +629,71 @@ def _log_weight_normalizer(x: np.ndarray) -> np.ndarray:
     return out
 
 
+# Taylor coefficients at 0 of the first two derivatives of
+# L(x) = log((1 - exp(-x)) / x), from the Bernoulli numbers B_2k:
+# L'(x) = -1/2 + sum_k B_2k x^(2k-1) / (2k)!, and L'' its derivative.
+# Below _SERIES_X they replace the closed forms, which cancel there; the
+# first term left out is below 1e-19.
+_SERIES_X = 1.0
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+              -3617 / 510, 43867 / 798, -174611 / 330, 854513 / 138,
+              -236364091 / 2730)
+# highest power first, for np.polyval in x^2
+_SLOPE_SERIES = [b / math.factorial(2 * k) for k, b in enumerate(_BERNOULLI, 1)][::-1]
+_CURVATURE_SERIES = [(2 * k - 1) * b / math.factorial(2 * k)
+                     for k, b in enumerate(_BERNOULLI, 1)][::-1]
+
+
+def _log_weight_normalizer_derivatives(x: np.ndarray):
+    """L'(x) and L''(x) of L = _log_weight_normalizer for x >= 0.
+
+    L'(x) = 1/(exp(x) - 1) - 1/x lies in [-1/2, 0) and L''(x) = 1/x^2 -
+    exp(x)/(exp(x) - 1)^2 in (0, 1/12]; near 0 both come from their series.
+    """
+    x = np.asarray(x, dtype=float)
+    slope, curvature = np.empty_like(x), np.empty_like(x)
+    small = x < _SERIES_X
+    s = x[small] ** 2
+    slope[small] = -0.5 + x[small] * np.polyval(_SLOPE_SERIES, s)
+    curvature[small] = np.polyval(_CURVATURE_SERIES, s)
+    big = x[~small]
+    decay = np.exp(-big)
+    slope[~small] = decay / -np.expm1(-big) - 1.0 / big
+    curvature[~small] = 1.0 / big ** 2 - decay / np.expm1(-big) ** 2
+    return slope, curvature
+
+
+def make_weighted_trophic_logdensity(graph: DirectedGraph, h) -> Callable[..., float]:
+    """Precompute the level terms and return gamma -> log-density of the
+    observed edge weights (see weighted_trophic_logdensity).
+
+    The probe takes ``derivatives=True`` for (l, l', l'') in gamma.  With
+    p the edge's penalty and x = gamma * p, an edge adds -w * p - p * L'(x)
+    and -p^2 * L''(x) to them, L = _log_weight_normalizer; an edge with
+    p = 0 adds nothing.  O(m) per probe.
+    """
+    if not graph.is_weighted:
+        raise ValueError("weighted_trophic_logdensity needs a weighted graph")
+    h = np.asarray(h, dtype=float)
+    if h.shape != (graph.n,):
+        raise ValueError(f"h has length {h.size}, expected {graph.n}")
+    idx = graph.edge_index
+    w = graph.edge_weights
+    penalty = (h[idx[:, 1]] - h[idx[:, 0]] - 1.0) ** 2
+
+    def logdensity(gamma: float, derivatives: bool = False):
+        gamma = _check_gamma(gamma)
+        x = gamma * penalty
+        value = float(np.sum(-gamma * w * penalty - _log_weight_normalizer(x)))
+        if not derivatives:
+            return value
+        slope, curvature = _log_weight_normalizer_derivatives(x)
+        return (value, float(np.sum(-w * penalty - penalty * slope)),
+                float(-np.sum(np.square(penalty) * curvature)))
+
+    return logdensity
+
+
 def weighted_trophic_logdensity(graph: DirectedGraph, params: TrophicParams) -> float:
     """Log-density of the observed edge weights under the level model.
 
@@ -523,16 +702,7 @@ def weighted_trophic_logdensity(graph: DirectedGraph, params: TrophicParams) -> 
     Z = (1 - exp(-gamma * p)) / (gamma * p).  Pairs without an edge are
     outside this model's sample space and contribute nothing.
     """
-    if not graph.is_weighted:
-        raise ValueError("weighted_trophic_logdensity needs a weighted graph")
-    h = np.asarray(params.h, dtype=float)
-    if h.shape != (graph.n,):
-        raise ValueError(f"h has length {h.size}, expected {graph.n}")
-    idx = graph.edge_index
-    w = graph.edge_weights
-    penalty = (h[idx[:, 1]] - h[idx[:, 0]] - 1.0) ** 2
-    x = params.gamma * penalty
-    return float(np.sum(-params.gamma * w * penalty - _log_weight_normalizer(x)))
+    return make_weighted_trophic_logdensity(graph, params.h)(params.gamma)
 
 
 # ---------------------------------------------------------------------------

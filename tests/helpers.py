@@ -289,3 +289,50 @@ def reference_graph_error(n: int, edges, weights=None) -> str | None:
         if w is not None and not 0.0 < w < 1.0:
             return f"weight {w} on edge ({i}, {j}) outside (0, 1)"
     return None
+
+
+def golden_section_fit(loglik, gamma_min: float = 1e-3, gamma_max: float = 50.0,
+                       grid_points: int = 32, tol: float = 1e-6) -> tuple[float, float]:
+    """(gamma, loglik) of the former decay-rate fit, the oracle for the
+    Newton fit: the best point of a logarithmic grid, refined by
+    golden-section search between its neighbours to absolute tolerance tol.
+    ``loglik(gamma)`` returns the value alone."""
+    grid = np.geomspace(gamma_min, gamma_max, grid_points)
+    values = [loglik(float(x)) for x in grid]
+    best = int(np.argmax(values))
+    if best == len(grid) - 1:
+        return float(grid[-1]), values[-1]
+    lo = float(grid[max(best - 1, 0)])
+    hi = float(grid[best + 1])
+    best_x, best_y = float(grid[best]), values[best]
+    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
+    yc, yd = loglik(c), loglik(d)
+    while hi - lo > tol:
+        if yc > yd:
+            hi, d, yd = d, c, yc
+            c = hi - inv_phi * (hi - lo)
+            yc = loglik(c)
+        else:
+            lo, c, yc = c, d, yd
+            d = lo + inv_phi * (hi - lo)
+            yd = loglik(d)
+        for x, y in ((c, yc), (d, yd)):
+            if y > best_y:
+                best_x, best_y = x, y
+    return best_x, best_y
+
+
+def dense_grid_maximizer(loglik, gamma_min: float = 1e-3, gamma_max: float = 50.0,
+                         width: float = 1e-7) -> float:
+    """Maximizer of a log-likelihood by plain value probes: the best of
+    401 logarithmic grid points, then of 21 points spanning its two
+    neighbours, repeated until the span is below ``width``."""
+    grid = np.geomspace(gamma_min, gamma_max, 401)
+    while True:
+        values = [loglik(float(x)) for x in grid]
+        best = int(np.argmax(values))
+        lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
+        if hi - lo < width:
+            return float(grid[best])
+        grid = np.linspace(lo, hi, 21)

@@ -1,4 +1,5 @@
 import csv
+import functools
 import math
 import os
 import subprocess
@@ -387,7 +388,8 @@ class TestCurveCommand:
         assert abs(mle_marks[0] - int(np.argmax(values))) <= 1
 
     def test_density_mark_matches_direct_fit(self, tmp_path):
-        from dirlap import fit_gamma_density, trophic_expected_edges
+        from dirlap import fit_gamma_density
+        from dirlap.models import make_trophic_expected_edges
         graph_file, attrs_file = self._generated(tmp_path)
         out = tmp_path / "curve.csv"
         assert run("curve", "--input", graph_file, "--model", "trophic",
@@ -398,11 +400,47 @@ class TestCurveCommand:
         graph = parse_edge_list(graph_file.read_text()).graph
         attrs = np.array([float(line.split(",")[1]) for line
                           in attrs_file.read_text().splitlines()[1:]])
-        direct = fit_gamma_density(lambda g: trophic_expected_edges(attrs, g),
-                                   graph.edge_count)
+        direct = fit_gamma_density(
+            lambda g: make_trophic_expected_edges(attrs)(g, derivatives=True),
+            graph.edge_count)
         grid = np.geomspace(1e-3, 50.0, 64)
         assert abs(math.log(marks[0]) - math.log(direct)) \
             <= math.log(grid[1] / grid[0]) * 1.01
+
+    def test_weighted_trophic_curve(self, tmp_path):
+        # weights drawn from the level model's density at gamma = 3 by
+        # inverting its CDF; the fit uses the density's analytic derivatives
+        rng = np.random.default_rng(5)
+        h = rng.uniform(0.0, 3.0, 40)
+        src, dst = np.nonzero(rng.random((40, 40)) < 0.2)
+        keep = src != dst
+        src, dst = src[keep], dst[keep]
+        x = 3.0 * (h[dst] - h[src] - 1.0) ** 2
+        u = rng.random(len(x))
+        w = np.clip(-np.log1p(-u * -np.expm1(-x)) / x, 1e-6, 1 - 1e-6)
+        graph_file = tmp_path / "w.edges"
+        graph_file.write_text("".join(f"n{i} n{j} {float(v)!r}\n"
+                                      for i, j, v in zip(src, dst, w)))
+        attrs = tmp_path / "h.csv"
+        attrs.write_text("label,value\n" + "".join(f"n{i},{float(v)!r}\n"
+                                                    for i, v in enumerate(h)))
+        out = tmp_path / "curve.csv"
+        assert run("curve", "--input", graph_file, "--weighted", "--model", "trophic",
+                   "--attributes", attrs, "--out", out) == 0
+        rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+        marks = [k for k, r in enumerate(rows) if r[2] == "1"]
+        values = [float(r[1]) for r in rows]
+        assert len(marks) == 1 and abs(marks[0] - int(np.argmax(values))) <= 1
+        assert all(r[3] == "0" for r in rows)
+        from dirlap import fit_gamma_mle
+        from dirlap.models import make_weighted_trophic_logdensity
+        graph = parse_edge_list(graph_file.read_text(), weighted=True).graph
+        h_by_label = dict(zip((f"n{i}" for i in range(40)), h))
+        fit = fit_gamma_mle(functools.partial(make_weighted_trophic_logdensity(
+            graph, [h_by_label[graph.label(i)] for i in range(graph.n)]), derivatives=True))
+        assert not fit.at_upper_bound and not fit.at_lower_bound
+        grid = np.geomspace(1e-3, 50.0, 64)
+        assert marks[0] == int(np.argmin(np.abs(np.log(grid) - np.log(fit.gamma))))
 
     def test_prdrg_curve_needs_rotation(self, tmp_path):
         graph_file, attrs = self._generated(tmp_path, model="prdrg")
@@ -427,27 +465,25 @@ class TestCurveCommand:
         assert len(err) == 1 and err[0].startswith("error [analyze]:")
 
     def test_no_gamma_probed_twice(self, tmp_path, monkeypatch):
-        import dirlap.cli as cli
-        probed = []
-        factory = cli.make_prdrg_loglik
+        # the table takes one plain probe per grid point and the fit its
+        # own few derivative probes; neither kind repeats a gamma
+        from dirlap.models import _PairModel
+        plain, derivative = [], []
+        loglik = _PairModel.loglik
 
-        def counting_factory(*args):
-            loglik = factory(*args)
+        def counted(self, gamma, derivatives=False):
+            (derivative if derivatives else plain).append(float(gamma))
+            return loglik(self, gamma, derivatives)
 
-            def counted(gamma):
-                probed.append(float(gamma))
-                return loglik(gamma)
-
-            return counted
-
-        monkeypatch.setattr(cli, "make_prdrg_loglik", counting_factory)
+        monkeypatch.setattr(_PairModel, "loglik", counted)
         graph_file, attrs = self._generated(tmp_path, model="prdrg")
         out = tmp_path / "c.csv"
         assert run("curve", "--input", graph_file, "--model", "prdrg",
                    "--attributes", attrs, "--g", "1/3", "--out", out) == 0
         assert len(out.read_text().splitlines()) == 65
-        assert len(probed) > 64
-        assert len(set(probed)) == len(probed)
+        np.testing.assert_array_equal(plain, np.geomspace(1e-3, 50.0, 64))
+        assert 2 <= len(derivative) <= 15
+        assert len(set(derivative)) == len(derivative)
 
     def test_attribute_length_mismatch(self, tmp_path):
         graph_file, _ = self._generated(tmp_path)

@@ -458,6 +458,18 @@ class TestSymmetrize:
                     assert np.array_equal(getattr(ours, part), getattr(ref, part))
             assert np.array_equal(view.degrees, oracle.degrees)
 
+    def test_fills_reciprocated_cache(self):
+        # the view's C = W + iW^T gives the mask a standalone build gives
+        for graph in symmetrize_cases(np.random.default_rng(20)):
+            twin = DirectedGraph(graph.n, graph.edge_index, graph.edge_weights)
+            graphs._symmetrize(graph)
+            cached = graph.__dict__["reciprocated"]
+            assert np.array_equal(cached, twin.reciprocated)
+            assert not cached.flags.writeable
+            # a mask already cached is kept
+            graphs._symmetrize(graph)
+            assert graph.reciprocated is cached
+
     def test_single_edge(self):
         view = symmetrize(DirectedGraph(2, ((0, 1),)))
         assert view.wsym.toarray()[0, 1] == 0.5

@@ -1,93 +1,185 @@
+import functools
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dirlap import (DirectedGraph, GraphStructureError, NumericalError,
-                    PRDRGParams, TrophicParams, compare_models,
+from dirlap import (DEFAULT_G_CANDIDATES, DirectedGraph, GraphStructureError,
+                    NumericalError, PRDRGParams, TrophicParams, compare_models,
                     fit_gamma_density, fit_gamma_mle, gen_clustered_angles,
                     gen_trophic_levels, largest_scc, largest_wcc,
-                    magnetic_algorithm, parse_edge_list,
-                    prdrg_expected_edges, prdrg_loglik, prdrg_sample, select_g,
+                    likelihood_curve, magnetic_algorithm, parse_edge_list,
+                    prdrg_expected_edges, prdrg_sample, select_g,
                     trophic_algorithm, trophic_expected_edges, trophic_sample)
-from helpers import random_graph
+from dirlap.models import (make_prdrg_expected_edges, make_prdrg_loglik,
+                           make_trophic_expected_edges, make_trophic_loglik)
+from helpers import (dense_grid_maximizer, golden_section_fit, level_fixtures,
+                     random_graph)
 
 FOOD_WEB = Path(__file__).parent / "fixtures" / "food_web_scc.edges"
 
 
+def quadratic(peak):
+    """-(g - peak)^2 with its first two derivatives."""
+    return lambda g: (-(g - peak) ** 2, -2.0 * (g - peak), -2.0)
+
+
+def fit_objectives():
+    """(name, loglik, expected edge count, observed edges) of the pair model
+    on the food web at every default rotation and on planted pair graphs,
+    and of the level model on the level fixtures."""
+    food_web, _ = largest_scc(parse_edge_list(FOOD_WEB.read_text(encoding="utf-8")).graph)
+    pair_cases = [(f"food-web-{g:.3f}", food_web, magnetic_algorithm(food_web, g).theta, g)
+                  for g in DEFAULT_G_CANDIDATES]
+    for clusters, size, g, seed in ((2, 60, 1 / 2, 1), (3, 50, 1 / 3, 2),
+                                    (5, 60, 1 / 5, 3)):
+        planted = gen_clustered_angles(clusters, size, 0.2, seed)
+        graph = prdrg_sample(PRDRGParams(planted, 5.0, g), seed + 100)
+        pair_cases.append((f"pair-{clusters}x{size}", graph, planted, g))
+    for name, graph, theta, g in pair_cases:
+        yield (name, make_prdrg_loglik(graph, theta, g),
+               make_prdrg_expected_edges(theta, g), graph.edge_count)
+    for k, (graph, h) in enumerate(level_fixtures()):
+        yield (f"levels-{k}", make_trophic_loglik(graph, h),
+               make_trophic_expected_edges(h), graph.edge_count)
+
+
+FIT_OBJECTIVES = list(fit_objectives())
+FIT_IDS = [case[0] for case in FIT_OBJECTIVES]
+
+
+def counted(probe, calls):
+    """probe with derivatives, recording each gamma in ``calls``."""
+    return lambda gamma: calls.append(gamma) or probe(gamma, derivatives=True)
+
+
 class TestFitGammaMle:
     def test_quadratic_surrogate(self):
-        fit = fit_gamma_mle(lambda g: -(g - 2.0) ** 2)
+        fit = fit_gamma_mle(quadratic(2.0))
         assert abs(fit.gamma - 2.0) <= 1e-5
         assert not fit.at_upper_bound
 
     def test_boundary_flag_on_increasing_objective(self):
-        fit = fit_gamma_mle(lambda g: g)
+        fit = fit_gamma_mle(lambda g: (g, 1.0, 0.0))
         assert fit.at_upper_bound
         assert fit.gamma == 50.0
         assert fit.loglik == 50.0
 
     def test_lower_bound_flag_on_decreasing_objective(self):
-        fit = fit_gamma_mle(lambda g: -g, gamma_min=0.01)
+        fit = fit_gamma_mle(lambda g: (-g, -1.0, 0.0), gamma_min=0.01)
         assert fit.at_lower_bound and not fit.at_upper_bound
         assert fit.gamma == 0.01
-        assert not fit_gamma_mle(lambda g: g).at_lower_bound
+        assert not fit_gamma_mle(lambda g: (g, 1.0, 0.0)).at_lower_bound
 
     def test_level_fit_on_structureless_graph_stops_at_lower_bound(self):
         # a dense directed Erdos-Renyi graph has no level structure: the
         # level-model likelihood falls from the smallest allowed gamma on
-        from dirlap.models import make_trophic_loglik
         graph = random_graph(np.random.default_rng(3), 120, 0.5)
         levels = trophic_algorithm(graph)
-        fit = fit_gamma_mle(make_trophic_loglik(graph, levels.h), gamma_min=0.01)
+        loglik = make_trophic_loglik(graph, levels.h)
+        fit = fit_gamma_mle(functools.partial(loglik, derivatives=True), gamma_min=0.01)
         assert fit.gamma == 0.01
         assert fit.at_lower_bound and not fit.at_upper_bound
+        assert loglik(0.01, derivatives=True)[1] < 0
         report = compare_models(graph, gamma_min=0.01)
         assert report.trophic_fit.at_lower_bound
 
+    @pytest.mark.filterwarnings("ignore::dirlap.DegeneracyWarning")
+    def test_flat_likelihood_rises_to_upper_bound(self):
+        # at g = 1/3 the 3-cycle's phases are exact thirds: the pair-model
+        # likelihood rises to its limit, flat to rounding at gamma_max,
+        # where the score's sign decides the bound
+        graph = parse_edge_list('a,1 b\nb "q\n"q a,1\n').graph
+        report = compare_models(graph)
+        third = next(fit for fit in report.per_g if fit.g == 1 / 3)
+        assert third.gamma_mle == 50.0
+        assert third.at_upper_bound and not third.at_lower_bound
+        theta = magnetic_algorithm(graph, 1 / 3).theta
+        assert make_prdrg_loglik(graph, theta, 1 / 3)(50.0, derivatives=True)[1] >= 0
+
     def test_single_point_grid_brackets_with_gamma_max(self):
-        # the one grid point is gamma_min; the maximizer lies above it
-        fit = fit_gamma_mle(lambda g: -(g - 2.0) ** 2, grid_points=1)
+        # a one-point likelihood curve holds only gamma_min; the fit does
+        # not depend on it and finds the maximizer above
+        objective = quadratic(2.0)
+        grid, values = likelihood_curve(lambda g: objective(g)[0], points=1)
+        assert list(grid) == [1e-3]
+        fit = fit_gamma_mle(objective)
         assert abs(fit.gamma - 2.0) <= 1e-5
         assert not fit.at_upper_bound and not fit.at_lower_bound
+        assert fit.loglik >= values.max()
 
     def test_non_finite_objective_rejected(self):
         with pytest.raises(NumericalError):
             fit_gamma_mle(lambda g: float("nan"))
+        with pytest.raises(NumericalError):
+            fit_gamma_mle(lambda g: (0.0, float("nan"), -1.0))
 
     def test_grid_refinement_never_decreases(self):
-        objective = lambda g: -(np.log(g) - 1.0) ** 2
-        coarse = fit_gamma_mle(objective, grid_points=32)
-        fine = fit_gamma_mle(objective, grid_points=64)
+        # a tighter tolerance never ends lower; the objective is convex
+        # above e^2, where the safeguard has to hold Newton in the bracket
+        def objective(g):
+            log_g = np.log(g)
+            return (-(log_g - 1.0) ** 2, -2.0 * (log_g - 1.0) / g,
+                    (2.0 * log_g - 4.0) / g ** 2)
+
+        coarse = fit_gamma_mle(objective, tol=1e-3)
+        fine = fit_gamma_mle(objective, tol=1e-9)
         assert fine.loglik >= coarse.loglik - 1e-12
+        assert abs(fine.gamma - np.e) <= 1e-8
 
     def test_result_beats_every_grid_point(self):
-        objective = lambda g: -(g - 0.37) ** 2
+        objective = quadratic(0.37)
         fit = fit_gamma_mle(objective)
-        assert (fit.loglik >= fit.grid_loglik).all()
+        _, values = likelihood_curve(lambda g: objective(g)[0])
+        assert (fit.loglik >= values).all()
 
     def test_recovers_generating_rate(self):
         # graph drawn at gamma = 5 with the true levels as attributes
         h = gen_trophic_levels(5, 100, 0.2, 1)
         graph = trophic_sample(TrophicParams(h, 5.0), 2)
-        from dirlap.models import make_trophic_loglik
-        fit = fit_gamma_mle(make_trophic_loglik(graph, h))
+        fit = fit_gamma_mle(functools.partial(make_trophic_loglik(graph, h),
+                                              derivatives=True))
         assert abs(fit.gamma - 5.0) <= 0.5
+
+    @pytest.mark.parametrize("name, loglik, expected, edges", FIT_OBJECTIVES, ids=FIT_IDS)
+    def test_within_tol_of_dense_grid_maximizer(self, name, loglik, expected, edges):
+        fit = fit_gamma_mle(functools.partial(loglik, derivatives=True))
+        assert not fit.at_upper_bound and not fit.at_lower_bound
+        assert abs(fit.gamma - dense_grid_maximizer(loglik)) <= 1e-6
+
+    @pytest.mark.parametrize("name, loglik, expected, edges", FIT_OBJECTIVES, ids=FIT_IDS)
+    def test_loglik_at_least_golden_section(self, name, loglik, expected, edges):
+        fit = fit_gamma_mle(functools.partial(loglik, derivatives=True))
+        _, golden = golden_section_fit(loglik)
+        assert fit.loglik >= golden - 1e-14 * abs(golden)
+
+    @pytest.mark.parametrize("name, loglik, expected, edges", FIT_OBJECTIVES, ids=FIT_IDS)
+    def test_at_most_15_probes(self, name, loglik, expected, edges):
+        calls = []
+        fit_gamma_mle(counted(loglik, calls))
+        assert len(calls) <= 15
+        assert len(set(calls)) == len(calls)
 
 
 class TestFitGammaDensity:
     def test_flat_expected_count_rejected(self):
         with pytest.raises(ValueError, match="constant"):
-            fit_gamma_density(lambda g: 10.0, 10.0)
+            fit_gamma_density(lambda g: (10.0, 0.0), 10.0)
         with pytest.raises(ValueError, match="constant"):
-            fit_gamma_density(lambda g: 10.0, 9.0)
+            fit_gamma_density(lambda g: (10.0, 0.0), 9.0)
 
     def test_out_of_range_names_interval(self):
         with pytest.raises(ValueError, match="attainable"):
-            fit_gamma_density(lambda g: 100.0 / (1.0 + g), 2000.0)
+            fit_gamma_density(lambda g: (100.0 / (1.0 + g), -100.0 / (1.0 + g) ** 2),
+                              2000.0)
+
+    def test_bounds_validated(self):
+        with pytest.raises(ValueError, match="gamma_min"):
+            fit_gamma_density(lambda g: (100.0 / (1.0 + g), -100.0 / (1.0 + g) ** 2),
+                              50.0, gamma_min=2.0, gamma_max=1.0)
 
     def test_recovers_root(self):
-        expected = lambda g: 100.0 * np.exp(-g)
+        expected = lambda g: (100.0 * np.exp(-g), -100.0 * np.exp(-g))
         gamma = fit_gamma_density(expected, 100.0 * np.exp(-3.0))
         assert abs(gamma - 3.0) <= 1e-4
 
@@ -95,32 +187,45 @@ class TestFitGammaDensity:
         rng = np.random.default_rng(0)
         theta = rng.uniform(0, 2 * np.pi, 30)
         observed = prdrg_expected_edges(theta, 2.0, 0.25)
-        gamma = fit_gamma_density(
-            lambda g: prdrg_expected_edges(theta, g, 0.25), observed)
+        gamma = fit_gamma_density(functools.partial(
+            make_prdrg_expected_edges(theta, 0.25), derivatives=True), observed)
         assert abs(gamma - 2.0) <= 1e-3
 
     def test_trophic_density_estimate(self):
         rng = np.random.default_rng(1)
         h = rng.uniform(0, 4, 40)
         observed = trophic_expected_edges(h, 1.5)
-        gamma = fit_gamma_density(lambda g: trophic_expected_edges(h, g), observed)
+        gamma = fit_gamma_density(functools.partial(
+            make_trophic_expected_edges(h), derivatives=True), observed)
         assert abs(gamma - 1.5) <= 1e-3
 
     def test_mle_more_accurate_than_density_match(self):
         # on a planted periodic instance the likelihood maximizer tracks the
         # generating decay rate far better than the edge-density match does
-        from dirlap import largest_scc, magnetic_algorithm
-        from dirlap.models import make_prdrg_loglik
         truth, g = 5.0, 0.2
         theta = gen_clustered_angles(5, 100, 0.2, 20)
         graph = prdrg_sample(PRDRGParams(theta, truth, g), 21)
         scc, _ = largest_scc(graph)
         estimated = magnetic_algorithm(scc, g).theta
-        mle = fit_gamma_mle(make_prdrg_loglik(scc, estimated, g))
-        density = fit_gamma_density(
-            lambda x: prdrg_expected_edges(estimated, x, g), scc.edge_count)
+        mle = fit_gamma_mle(functools.partial(make_prdrg_loglik(scc, estimated, g),
+                                              derivatives=True))
+        density = fit_gamma_density(functools.partial(
+            make_prdrg_expected_edges(estimated, g), derivatives=True), scc.edge_count)
         assert abs(mle.gamma - truth) < abs(density - truth)
         assert abs(mle.gamma - truth) / truth <= 0.15
+
+    @pytest.mark.parametrize("name, loglik, expected, edges", FIT_OBJECTIVES, ids=FIT_IDS)
+    def test_match_bracketed_in_at_most_15_probes(self, name, loglik, expected, edges):
+        # the count falls through the observed one within rel_tol of the
+        # match, checked by plain probes on either side
+        calls = []
+        try:
+            gamma = fit_gamma_density(counted(expected, calls), edges)
+        except ValueError:
+            assert len(calls) == 2          # only the two ends were probed
+            return
+        assert len(calls) <= 15
+        assert expected(gamma * (1.0 - 1e-6)) >= edges >= expected(gamma * (1.0 + 1e-6))
 
 
 class TestSelectG:
@@ -132,8 +237,8 @@ class TestSelectG:
         assert result.best.g == 0.25
         direct = magnetic_algorithm(graph, 0.25)
         np.testing.assert_array_equal(result.assignment.theta, direct.theta)
-        fit = fit_gamma_mle(
-            lambda g: prdrg_loglik(graph, PRDRGParams(direct.theta, g, 0.25)))
+        fit = fit_gamma_mle(functools.partial(
+            make_prdrg_loglik(graph, direct.theta, 0.25), derivatives=True))
         assert result.best.loglik == pytest.approx(fit.loglik, rel=1e-12)
         del rng
 
@@ -232,6 +337,17 @@ class TestCompareModels:
         theta = gen_clustered_angles(3, 15, 0.2, 14)
         compare_models(prdrg_sample(PRDRGParams(theta, 3.0, 1 / 3), 15))
         assert runs == ["weak"]
+
+    def test_pairs_edges_with_reverse_once(self, monkeypatch):
+        # the symmetrized view fills the pair model's reciprocated mask
+        import dirlap.graphs as graphs
+        calls = []
+        original = graphs._paired_with_reverse
+        monkeypatch.setattr(graphs, "_paired_with_reverse",
+                            lambda graph: calls.append(graph) or original(graph))
+        theta = gen_clustered_angles(3, 15, 0.2, 14)
+        compare_models(prdrg_sample(PRDRGParams(theta, 3.0, 1 / 3), 15))
+        assert len(calls) == 1
 
     @pytest.mark.filterwarnings("ignore::dirlap.DegeneracyWarning")
     def test_disconnected_rejected(self):

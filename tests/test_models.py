@@ -16,9 +16,11 @@ from dirlap import (DirectedGraph, KernelModel, NumericalError, PRDRGParams,
                     trophic_algorithm, trophic_edge_prob,
                     trophic_expected_edges, trophic_loglik, trophic_sample,
                     weighted_trophic_logdensity)
-from dirlap.models import (_absent_neglogprob, _edge_prob, _LevelPairSums,
-                           _observed_excess, make_prdrg_loglik,
-                           make_trophic_expected_edges, make_trophic_loglik)
+from dirlap.models import (_absent_rows, _edge_rows, _LevelPairSums,
+                           _observed_excess, make_prdrg_expected_edges,
+                           make_prdrg_loglik, make_trophic_expected_edges,
+                           make_trophic_loglik,
+                           make_weighted_trophic_logdensity)
 from helpers import (adjacency, block_cycle_graph, direct_bernoulli_loglik,
                      direct_trophic_expected_edges, exact_prdrg_expected_edges,
                      exact_prdrg_loglik, level_fixtures,
@@ -29,6 +31,18 @@ TWO_PI = 2 * np.pi
 FOOD_WEB = Path(__file__).parent / "fixtures" / "food_web_scc.edges"
 # the fit's default 32-point grid, plus a rate that needs more Fourier modes
 ORACLE_GAMMAS = [*np.geomspace(1e-3, 50.0, 32), 1000.0]
+
+
+def central_differences(f, x):
+    """((f'(x), noise), (f''(x), noise)) by five-point central differences
+    with step min(x/5, 1e-3), each with a floor for the rounding of f that
+    the differences amplify (1e-12 of the largest |f| sampled)."""
+    step = min(0.2 * x, 1e-3)
+    f2, f1, f0, fm1, fm2 = values = [f(x + k * step) for k in (2, 1, 0, -1, -2)]
+    first = (-f2 + 8.0 * f1 - 8.0 * fm1 + fm2) / (12.0 * step)
+    second = (-f2 + 16.0 * f1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * step ** 2)
+    noise = 1e-12 * max(map(abs, values))
+    return (first, noise / step), (second, noise / step ** 2)
 
 
 def naive_prdrg_loglik(graph, theta, gamma, g):
@@ -407,6 +421,42 @@ class TestWeightedDensity:
             weighted_trophic_logdensity(DirectedGraph(2, ((0, 1),)),
                                         TrophicParams(np.zeros(2), 1.0))
 
+    def test_derivatives_match_central_differences(self):
+        # node 1 sits one level above node 0, so edge 0 -> 1 has penalty 0;
+        # the rates put x = gamma * penalty on both sides of the series cut
+        rng = np.random.default_rng(17)
+        h = np.concatenate([[0.0, 1.0], rng.uniform(-1.0, 3.0, 28)])
+        edges = np.unique(np.vstack([[[0, 1]], random_graph(rng, 30, 0.2).edge_index]),
+                          axis=0)
+        graph = DirectedGraph(30, edges, weights=rng.uniform(0.01, 0.99, len(edges)))
+        logdensity = make_weighted_trophic_logdensity(graph, h)
+        for gamma in [0.3, 2.0, 7.0, *ORACLE_GAMMAS]:
+            value, first, second = logdensity(gamma, derivatives=True)
+            assert value == weighted_trophic_logdensity(graph, TrophicParams(h, gamma))
+            (d1, noise1), (d2, noise2) = central_differences(
+                lambda x: weighted_trophic_logdensity(graph, TrophicParams(h, x)), gamma)
+            assert first == pytest.approx(d1, rel=1e-6, abs=noise1)
+            assert second == pytest.approx(d2, rel=1e-6, abs=noise2)
+            assert second <= 0.0
+
+    def test_zero_penalty_edge_has_no_slope(self):
+        graph = DirectedGraph(2, ((0, 1),), weights=(0.37,))
+        logdensity = make_weighted_trophic_logdensity(graph, [0.0, 1.0])
+        for gamma in (0.0, 1e-3, 1.0, 50.0):
+            assert logdensity(gamma, derivatives=True) == (0.0, 0.0, 0.0)
+
+    def test_series_meets_closed_form(self):
+        # the slope and curvature of log((1 - exp(-x)) / x) are continuous
+        # where the series hands over to the closed forms
+        from dirlap.models import _SERIES_X, _log_weight_normalizer_derivatives
+        below, above = np.nextafter(_SERIES_X, 0.0), _SERIES_X
+        (s0, s1), (c0, c1) = _log_weight_normalizer_derivatives(np.array([below, above]))
+        assert s1 == pytest.approx(s0, rel=1e-14)
+        assert c1 == pytest.approx(c0, rel=1e-14)
+        slope, curvature = _log_weight_normalizer_derivatives(np.array([0.0, 1e-9]))
+        np.testing.assert_allclose(slope, [-0.5, -0.5 + 1e-9 / 12], rtol=1e-15)
+        np.testing.assert_allclose(curvature, [1 / 12, 1 / 12], rtol=1e-15)
+
 
 class TestKernelLoglik:
     def test_zero_kernel_gives_half_per_pair(self):
@@ -526,6 +576,78 @@ class TestObjectiveLikelihoodEquivalence:
             assert min_set == max_set
 
 
+def pair_fixtures():
+    """(name, graph, theta, g): the food web at three rotations with its
+    magnetic angles, and planted pair-model graphs with their angles."""
+    graph = parse_edge_list(FOOD_WEB.read_text(encoding="utf-8")).graph
+    for g in (1 / 2, 1 / 3, 1 / 5):
+        yield f"food-web-{g:.3f}", graph, magnetic_algorithm(graph, g).theta, g
+    for clusters, size, g, seed in ((2, 60, 1 / 2, 1), (3, 50, 1 / 3, 2),
+                                    (5, 60, 1 / 5, 3), (6, 20, 1 / 6, 4)):
+        planted = gen_clustered_angles(clusters, size, 0.2, seed)
+        yield (f"pair-{clusters}x{size}", prdrg_sample(PRDRGParams(planted, 5.0, g),
+                                                         seed + 100), planted, g)
+
+
+def model_probes():
+    """(name, n, probes, n^2 oracles) of both models' likelihood and
+    expected edge count on the pair and level fixtures."""
+    for name, graph, theta, g in pair_fixtures():
+        yield (name, graph.n, make_prdrg_loglik(graph, theta, g),
+               make_prdrg_expected_edges(theta, g),
+               lambda x, graph=graph, theta=theta, g=g: exact_prdrg_loglik(graph, theta, x, g),
+               lambda x, theta=theta, g=g: exact_prdrg_expected_edges(theta, x, g))
+    for k, (graph, h) in enumerate(level_fixtures()):
+        yield (f"levels-{k}", graph.n, make_trophic_loglik(graph, h),
+               make_trophic_expected_edges(h),
+               lambda x, graph=graph, h=h: direct_bernoulli_loglik(graph, h, x),
+               lambda x, h=h: direct_trophic_expected_edges(h, x))
+
+
+MODEL_PROBES = list(model_probes())
+
+
+class TestGammaDerivatives:
+    """The derivative probes of both models: l', l'' and N' from one pass
+    of the pair sums, against central differences of the n^2 oracles."""
+
+    @pytest.mark.parametrize("name, n, loglik, expected, exact_loglik, exact_expected",
+                             MODEL_PROBES, ids=[p[0] for p in MODEL_PROBES])
+    def test_match_central_differences_of_oracle(self, name, n, loglik, expected,
+                                                 exact_loglik, exact_expected):
+        for gamma in ORACLE_GAMMAS:
+            _, first, second = loglik(gamma, derivatives=True)
+            (d1, noise1), (d2, noise2) = central_differences(exact_loglik, gamma)
+            assert first == pytest.approx(d1, rel=1e-6, abs=noise1)
+            assert second == pytest.approx(d2, rel=1e-6, abs=noise2)
+            (d1, noise1), _ = central_differences(exact_expected, gamma)
+            assert expected(gamma, derivatives=True)[1] == pytest.approx(
+                d1, rel=1e-6, abs=noise1)
+
+    @pytest.mark.parametrize("name, n, loglik, expected",
+                             [p[:4] for p in MODEL_PROBES],
+                             ids=[p[0] for p in MODEL_PROBES])
+    def test_concave_likelihood_and_falling_count(self, name, n, loglik, expected):
+        # up to the pair sums' absolute rounding, as in
+        # assert_pair_sums_match_oracle: tiny sums at a large gamma can come
+        # out a few ulps above 0
+        floor = 1e-12 * n
+        for gamma in [0.0, *ORACLE_GAMMAS]:
+            assert loglik(gamma, derivatives=True)[2] <= floor
+            assert expected(gamma, derivatives=True)[1] <= floor
+
+    @pytest.mark.parametrize("name, loglik, expected",
+                             [(p[0], *p[2:4]) for p in MODEL_PROBES],
+                             ids=[p[0] for p in MODEL_PROBES])
+    def test_value_row_equals_plain_probe(self, name, loglik, expected):
+        # a derivative probe may sum on a finer grid than the plain probe
+        for gamma in [0.0, *ORACLE_GAMMAS]:
+            assert loglik(gamma, derivatives=True)[0] == pytest.approx(
+                loglik(gamma), rel=1e-13, abs=0.0)
+            assert expected(gamma, derivatives=True)[0] == pytest.approx(
+                expected(gamma), rel=1e-13, abs=0.0)
+
+
 class TestExpectedEdges:
     def test_prdrg_gamma_zero_value(self):
         # every outcome has probability 1/4 at gamma = 0, so each unordered
@@ -620,7 +742,8 @@ class TestLevelPairSums:
     @staticmethod
     def node_counts(h, gammas):
         sums = _LevelPairSums(np.asarray(h, dtype=float))
-        return {sums.node_count(f, gamma) for f in (_absent_neglogprob, _edge_prob)
+        return {sums.node_count(f, gamma, rows) for f, rows in
+                ((_absent_rows, 1), (_absent_rows, 3), (_edge_rows, 1), (_edge_rows, 2))
                 for gamma in gammas}
 
     def test_narrow_levels_stay_on_chebyshev_nodes(self):
@@ -653,10 +776,10 @@ class TestLevelPairSums:
         rng = np.random.default_rng(n)
         h = gen_trophic_levels(5, n // 5, 0.2, n)
         order = rng.permutation(n)
-        for f in (_absent_neglogprob, _edge_prob):
+        for f, rows in ((_absent_rows, 3), (_edge_rows, 2)):
             sums = [_LevelPairSums(v) for v in (h, h[order], h + 3.7, h - 1.25)]
             for gamma in self.GAMMAS:
-                base = sums[0].sum(f, gamma)
+                base = sums[0].sum(f, gamma, rows)
                 for other in sums[1:]:
-                    assert other.sum(f, gamma) == pytest.approx(base, rel=1e-13,
-                                                                abs=0.0)
+                    np.testing.assert_allclose(other.sum(f, gamma, rows), base,
+                                               rtol=1e-13, atol=0.0)
