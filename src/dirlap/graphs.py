@@ -393,10 +393,18 @@ def serialize_edge_list(graph: DirectedGraph) -> str:
     return "".join(f"{names[i]} {names[j]}\n" for i, j in pairs)
 
 
-def _edge_pattern(graph: DirectedGraph) -> csr_matrix:
-    idx = graph.edge_index
-    return csr_matrix((np.ones(len(idx)), (idx[:, 0], idx[:, 1])),
-                      shape=(graph.n, graph.n))
+def _edge_pattern(graph: DirectedGraph, data: np.ndarray | None = None) -> csr_matrix:
+    """W as a CSR matrix with sorted indices, ``data`` per edge (1 when None).
+
+    edge_index is sorted by (source, target), so its targets are the column
+    indices as they stand and a row count gives the row pointer.
+    """
+    n = graph.n
+    src, dst = graph.edge_index[:, 0], graph.edge_index[:, 1]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return csr_matrix((np.ones(len(dst)) if data is None else data, dst, indptr),
+                      shape=(n, n))
 
 
 def _induced_subgraph(graph: DirectedGraph,
@@ -499,13 +507,7 @@ def _paired_with_reverse(graph: DirectedGraph) -> csr_matrix:
     weight of edge i -> j and the imaginary part that of j -> i, 0 where
     that edge is absent.
     """
-    n = graph.n
-    src, dst = graph.edge_index[:, 0], graph.edge_index[:, 1]
-    w = graph.edge_weights if graph.is_weighted else np.ones(graph.edge_count)
-    # edge_index is sorted by (source, target): it is W's CSR form as it stands
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    a = csr_matrix((w, dst, indptr), shape=(n, n))
+    a = _edge_pattern(graph, graph.edge_weights)
     paired = (a + 1j * a.T).tocsr()
     paired.sort_indices()
     return paired

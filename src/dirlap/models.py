@@ -616,32 +616,39 @@ def trophic_expected_edges(h, gamma: float) -> float:
     return make_trophic_expected_edges(h)(gamma)
 
 
-def _log_weight_normalizer(x: np.ndarray) -> np.ndarray:
-    """log of (1 - exp(-x)) / x for x >= 0, with the x -> 0 limit of 0.
-
-    Uses expm1 so that small x suffers no cancellation: for x = 1e-12 the
-    result is log(1 - x/2 + O(x^2)) to full precision.
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    pos = x > 0
-    out[pos] = np.log(-np.expm1(-x[pos])) - np.log(x[pos])
-    return out
-
-
-# Taylor coefficients at 0 of the first two derivatives of
-# L(x) = log((1 - exp(-x)) / x), from the Bernoulli numbers B_2k:
-# L'(x) = -1/2 + sum_k B_2k x^(2k-1) / (2k)!, and L'' its derivative.
-# Below _SERIES_X they replace the closed forms, which cancel there; the
-# first term left out is below 1e-19.
+# Taylor coefficients at 0 of L(x) = log((1 - exp(-x)) / x) and of its
+# first two derivatives, from the Bernoulli numbers B_2k:
+# L(x) = -x/2 + sum_k B_2k x^(2k) / (2k (2k)!), L'(x) = -1/2 + sum_k
+# B_2k x^(2k-1) / (2k)!, and L'' the derivative of L'.  Below _SERIES_X
+# they replace the closed forms, which cancel there; the first term left
+# out is below 1e-19.
 _SERIES_X = 1.0
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
               -3617 / 510, 43867 / 798, -174611 / 330, 854513 / 138,
               -236364091 / 2730)
 # highest power first, for np.polyval in x^2
+_VALUE_SERIES = [b / (2 * k * math.factorial(2 * k))
+                 for k, b in enumerate(_BERNOULLI, 1)][::-1]
 _SLOPE_SERIES = [b / math.factorial(2 * k) for k, b in enumerate(_BERNOULLI, 1)][::-1]
 _CURVATURE_SERIES = [(2 * k - 1) * b / math.factorial(2 * k)
                      for k, b in enumerate(_BERNOULLI, 1)][::-1]
+
+
+def _log_weight_normalizer(x: np.ndarray) -> np.ndarray:
+    """L(x) = log of (1 - exp(-x)) / x for x >= 0, with the x -> 0 limit of 0.
+
+    Below _SERIES_X it comes from its series, which keeps full relative
+    precision as x -> 0; the closed form log(-expm1(-x)) - log(x) would
+    subtract two numbers near log x there.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    small = x < _SERIES_X
+    s = x[small] ** 2
+    out[small] = -0.5 * x[small] + s * np.polyval(_VALUE_SERIES, s)
+    big = x[~small]
+    out[~small] = np.log(-np.expm1(-big)) - np.log(big)
+    return out
 
 
 def _log_weight_normalizer_derivatives(x: np.ndarray):

@@ -158,11 +158,57 @@ class TestArgumentErrors:
     @pytest.mark.parametrize("command", [
         ["compare", "--out-dir", "o"],
         ["reorder", "--method", "magnetic", "--out-dir", "o"],
-        ["curve", "--model", "trophic", "--attributes", "a.csv", "--out", "c.csv"],
-    ], ids=["compare", "reorder", "curve"])
+    ], ids=["compare", "reorder"])
     def test_zero_denominator_rotation(self, tmp_path, capsys, command):
         self.refused(capsys, *command, "--input", tmp_path / "missing.edges",
                      "--g-list", "1/2,1/0")
+
+    # "--g=-1/3": argparse takes a bare "-1/3" for a flag, not a value
+    @pytest.mark.parametrize("g", ["7/10", "0", "-1/3"])
+    @pytest.mark.parametrize("command", [
+        ["reorder", "--input", FOOD_WEB, "--method", "magnetic", "--out-dir", "o"],
+        ["curve", "--input", FOOD_WEB, "--model", "prdrg", "--attributes", "a.csv",
+         "--out", "c.csv"],
+        ["generate", "--model", "prdrg", "--clusters", 2, "--cluster-size", 3,
+         "--gamma", 1, "--out", "g.edges"],
+    ], ids=["reorder", "curve", "generate"])
+    def test_rotation_outside_range(self, tmp_path, monkeypatch, capsys, command, g):
+        monkeypatch.chdir(tmp_path)
+        self.refused(capsys, *command, f"--g={g}")
+        assert not any(tmp_path.iterdir())
+
+    def test_negative_seed(self, tmp_path, capsys):
+        self.refused(capsys, "generate", "--model", "trophic", "--clusters", 2,
+                     "--cluster-size", 3, "--gamma", 1, "--seed", -1,
+                     "--out", tmp_path / "g.edges")
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", [
+        ["compare", "--out-dir", "o"],
+        ["curve", "--model", "trophic", "--attributes", "a.csv", "--out", "c.csv"],
+    ], ids=["compare", "curve"])
+    def test_reversed_gamma_range(self, capsys, command):
+        self.refused(capsys, *command, "--input", "missing.edges",
+                     "--gamma-min", 5, "--gamma-max", 1)
+
+    # curve reads neither a component nor a rotation list
+    @pytest.mark.parametrize("args", [
+        ["compare", "--input", "missing.edges", "--out-dir", "o", "--bogus"],
+        ["curve", "--input", "missing.edges", "--model", "trophic",
+         "--attributes", "a.csv", "--out", "c.csv", "--g-list", "1/2,1/0"],
+        ["curve", "--input", "missing.edges", "--model", "trophic",
+         "--attributes", "a.csv", "--out", "c.csv", "--component", "wcc"],
+    ], ids=["compare-bogus", "curve-g-list", "curve-component"])
+    def test_unknown_flag(self, capsys, args):
+        self.refused(capsys, *args)
+
+    @pytest.mark.parametrize("args", [
+        ["compare", "--out-dir", "o"],
+        ["reorder", "--method", "trophic", "--out-dir", "o"],
+        ["curve", "--model", "trophic", "--attributes", "a.csv", "--out", "c.csv"],
+    ], ids=["compare", "reorder", "curve"])
+    def test_missing_input(self, capsys, args):
+        self.refused(capsys, *args)
 
     @pytest.mark.parametrize("args", [
         ["compare", "--input", "missing.edges", "--out-dir", "o",
@@ -484,6 +530,22 @@ class TestCurveCommand:
         np.testing.assert_array_equal(plain, np.geomspace(1e-3, 50.0, 64))
         assert 2 <= len(derivative) <= 15
         assert len(set(derivative)) == len(derivative)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e999"])
+    @pytest.mark.parametrize("model", ["prdrg", "trophic"])
+    def test_non_finite_attribute(self, tmp_path, capsys, model, value):
+        graph_file, attrs = self._generated(tmp_path, model=model)
+        rows = attrs.read_text().splitlines()
+        label = rows[2].split(",")[0]
+        rows[2] = f"{label},{value}"
+        attrs.write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
+        assert run("curve", "--input", graph_file, "--model", model, "--g", "1/3",
+                   "--attributes", attrs, "--out", tmp_path / "c.csv") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error [attributes]:"), err
+        assert repr(label) in err[0]
+        assert not (tmp_path / "c.csv").exists()
 
     def test_attribute_length_mismatch(self, tmp_path):
         graph_file, _ = self._generated(tmp_path)

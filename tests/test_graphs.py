@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 
 from dirlap import (DirectedGraph, EdgeListError, GraphStructureError,
                     PRDRGParams, apply_ordering, gen_clustered_angles,
@@ -374,6 +375,20 @@ class TestEdgeIndex:
     def test_edgeless_graph(self):
         idx = DirectedGraph(3, ()).edge_index
         assert idx.shape == (0, 2) and idx.dtype == np.int64
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("n,p", [(0, 0.0), (4, 0.0), (30, 0.2)])
+    def test_csr_matches_coo_build(self, n, p, weighted):
+        rng = np.random.default_rng(6)
+        graph = random_graph(rng, n, p)
+        data = rng.uniform(0.1, 0.9, graph.edge_count) if weighted else None
+        fast = graphs._edge_pattern(graph, data)
+        idx = graph.edge_index
+        coo = csr_matrix((np.ones(len(idx)) if data is None else data,
+                          (idx[:, 0], idx[:, 1])), shape=(n, n))
+        assert fast.has_sorted_indices
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(fast, name), getattr(coo, name)), name
 
 
 class TestComponents:

@@ -416,6 +416,19 @@ class TestWeightedDensity:
         z = math.exp(-(logdens + x * 0.5 * 1.0))
         assert abs(z - (1.0 - x / 2.0)) <= 1e-15
 
+    def test_normalizer_relative_accuracy(self):
+        # L(x) = log((1 - exp(-x)) / x) against 60 digits: the series below
+        # _SERIES_X keeps full relative precision down to x = 1e-12
+        mpmath = pytest.importorskip("mpmath")
+        from dirlap.models import _log_weight_normalizer
+        xs = np.geomspace(1e-12, 0.9, 200)
+        with mpmath.workdps(60):
+            exact = [mpmath.log(-mpmath.expm1(-mpmath.mpf(x)) / x) for x in xs]
+            worst = max(abs((mpmath.mpf(got) - ref) / ref)
+                        for got, ref in zip(_log_weight_normalizer(xs), exact))
+        assert worst <= 1e-15
+        assert _log_weight_normalizer(np.array([0.0]))[0] == 0.0
+
     def test_unweighted_rejected(self):
         with pytest.raises(ValueError):
             weighted_trophic_logdensity(DirectedGraph(2, ((0, 1),)),
