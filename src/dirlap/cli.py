@@ -37,6 +37,16 @@ EXIT_NUMERICAL = 3
 
 DEFAULT_G_LIST = "1/2,1/3,1/4,1/5,1/6"
 
+# The largest attribute magnitude ``curve`` accepts, per model, and why.
+# Levels: the squared gaps q = (h_j - h_i - 1)^2, and the q^2 that the fits'
+# gamma-derivatives take, stay finite up to 1e75.  Angles: float spacing is
+# 1.2e-10 at 1e6, and k * theta for the highest Fourier mode, k = 16384, is
+# still rounded to 1e-6 rad there; at 1e15 the spacing alone is 0.125.
+ATTRIBUTE_LIMITS = {
+    "trophic": ("level", 1e75, "its squared gaps to other levels would overflow"),
+    "prdrg": ("angle", 1e6, "float spacing there no longer keeps the angle"),
+}
+
 LOGLIK_FMT = "%.5e"   # 6 significant digits for likelihood-scale values
 GAMMA_FMT = "%.6g"
 VALUE_FMT = "%.12g"
@@ -193,10 +203,7 @@ def _format_report(args, dataset: str, raw: DirectedGraph, self_loops: int,
 
 
 def cmd_compare(args) -> int:
-    parsed = _load_graph(args.input, args.weighted)
-    if parsed.graph.is_weighted:
-        raise _StageError("input", "model comparison requires an unweighted edge list",
-                          EXIT_INPUT)
+    parsed = _load_graph(args.input, False)
     sub, _, used = _select_component(parsed.graph, args.component)
     _require_analyzable(sub)
     report = compare_models(sub, [v for _, v in args.g_list],
@@ -294,7 +301,7 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _read_attributes(path: Path, graph: DirectedGraph) -> np.ndarray:
+def _read_attributes(path: Path, graph: DirectedGraph, model: str) -> np.ndarray:
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -306,6 +313,7 @@ def _read_attributes(path: Path, graph: DirectedGraph) -> np.ndarray:
         raise _StageError("attributes", f"unreadable CSV: {exc}", EXIT_INPUT) from exc
     if rows and rows[0][0].strip().lower() == "label":
         rows = rows[1:]
+    kind, limit, why = ATTRIBUTE_LIMITS[model]
     values: dict[str, float] = {}
     for lineno, row in enumerate(rows, start=1):
         try:
@@ -317,6 +325,10 @@ def _read_attributes(path: Path, graph: DirectedGraph) -> np.ndarray:
         if not math.isfinite(value):
             raise _StageError("attributes", f"attribute value {value} of node "
                               f"{label.strip()!r} is not finite", EXIT_INPUT)
+        if abs(value) > limit:
+            raise _StageError("attributes", f"{kind} {value!r} of node "
+                              f"{label.strip()!r} exceeds {limit:g} in magnitude: "
+                              f"{why}", EXIT_INPUT)
         values[label.strip()] = value
     if len(values) != graph.n:
         raise _StageError("attributes", f"{len(values)} attribute value(s) for "
@@ -336,7 +348,7 @@ def cmd_curve(args) -> int:
         raise _StageError("arguments", "--g is required for the prdrg curve",
                           EXIT_INPUT)
     graph = _load_graph(args.input, args.weighted).graph
-    attributes = _read_attributes(args.attributes, graph)
+    attributes = _read_attributes(args.attributes, graph, args.model)
     model = None    # the weight density of a weighted graph has no edge count
     if args.model == "prdrg":
         if graph.is_weighted:
@@ -369,12 +381,13 @@ def cmd_curve(args) -> int:
     return EXIT_OK
 
 
-def _add_input(parser: argparse.ArgumentParser):
+def _add_input(parser: argparse.ArgumentParser, weighted: bool = True):
     parser.add_argument("--input", type=Path, required=True, help="edge-list file")
     parser.add_argument("--gamma-min", type=_number(float, False), default=GAMMA_MIN)
     parser.add_argument("--gamma-max", type=_number(float, False), default=GAMMA_MAX)
-    parser.add_argument("--weighted", action="store_true",
-                        help="parse a third column as edge weights in (0, 1)")
+    if weighted:
+        parser.add_argument("--weighted", action="store_true",
+                            help="parse a third column as edge weights in (0, 1)")
 
 
 def _add_component(parser: argparse.ArgumentParser):
@@ -394,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     compare = sub.add_parser("compare", help="fit both models and compare")
-    _add_input(compare)
+    _add_input(compare, weighted=False)     # the models are for unweighted graphs
     _add_component(compare)
     compare.set_defaults(func=cmd_compare)
 

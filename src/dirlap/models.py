@@ -138,65 +138,67 @@ def prdrg_pair_probs(theta_i: float, theta_j: float, gamma: float,
 _MIN_GRID = 256
 _MAX_GRID = 1 << 16      # enough for gamma up to ~1e4
 _TAIL_TOL = 4.0 * np.finfo(float).eps
-_REANCHOR = 64           # power-spectrum recurrence restarts every this many modes
+_REANCHOR = 64           # the S_k recurrence restarts every this many modes
 
 
 class _AngleSpectrum:
-    """Power |S_k|^2 of S_k = sum_i exp(1j*k*theta_i), extended on demand.
+    """Sums S_k = sum_i exp(1j*k*theta_i), extended on demand: the pair
+    model's Fourier sums, and the level model's Chebyshev moments.
 
     Works in O(n) memory: S_k comes from the recurrence
     exp(1j*(k+1)*theta) = exp(1j*k*theta) * exp(1j*theta), restarted from a
     direct evaluation every _REANCHOR modes so rounding does not build up.
-    Requests come in multiples of _REANCHOR, so a mode's value does not
+    Modes are added in whole runs of _REANCHOR, so a mode's value does not
     depend on how many modes were requested before.
     """
 
     def __init__(self, theta: np.ndarray):
         self.theta = theta
         self.n = len(theta)
-        self._power = np.empty(0)
+        self._sums = np.empty(0, dtype=complex)
 
-    def power(self, modes: int) -> np.ndarray:
-        have = len(self._power)
+    def sums(self, modes: int) -> np.ndarray:
+        """S_0 .. S_{modes - 1}."""
+        have = len(self._sums)
         if modes > have:
             step = np.exp(1j * self.theta)
-            extra = np.empty(modes - have)
-            for k in range(have, modes):
+            runs = math.ceil((modes - have) / _REANCHOR)
+            extra = np.empty(runs * _REANCHOR, dtype=complex)
+            for k in range(have, have + len(extra)):
                 if k % _REANCHOR == 0:
                     wave = np.exp(1j * k * self.theta)
                 else:
                     wave *= step
-                s = wave.sum()
-                extra[k - have] = s.real ** 2 + s.imag ** 2
-            self._power = np.concatenate([self._power, extra])
-        return self._power[:modes]
+                extra[k - have] = wave.sum()
+            self._sums = np.concatenate([self._sums, extra])
+        return self._sums[:modes]
 
+    def sum(self, rows: Callable[[np.ndarray], np.ndarray], gamma: float) -> np.ndarray:
+        """sum_{i<j} f(theta_i - theta_j) for each row f of ``rows(beta)``, an
+        (R, len(beta)) stack of even, smooth 2*pi-periodic functions.
 
-def _pair_sum(spectrum: _AngleSpectrum, rows: Callable[[np.ndarray], np.ndarray],
-              gamma: float) -> np.ndarray:
-    """sum_{i<j} f(theta_i - theta_j) for each row f of ``rows(beta)``, an
-    (R, len(beta)) stack of even, smooth 2*pi-periodic functions.
-
-    Raises NumericalError when a row is too sharp to resolve with _MAX_GRID
-    points (very large gamma), rather than returning a truncated sum.
-    """
-    grid = _MIN_GRID
-    while True:
-        values = rows(TWO_PI / grid * np.arange(grid))
-        coef = np.fft.rfft(values, axis=1).real / grid
-        tail = np.abs(coef[:, grid // 4:]).max(axis=1)
-        if (tail <= _TAIL_TOL * np.abs(values).max(axis=1)).all():
-            break
-        grid *= 2
-        if grid > _MAX_GRID:
-            raise NumericalError(
-                f"pair-model sums at gamma={gamma:g} need more than "
-                f"{_MAX_GRID // 4} Fourier modes; use a smaller decay rate")
-    modes = grid // 4
-    power = spectrum.power(modes)
-    totals = np.array([c[0] * power[0] + 2.0 * np.dot(c[1:modes], power[1:])
-                       for c in coef])
-    return 0.5 * (totals - spectrum.n * values[:, 0])
+        Raises NumericalError when a row is too sharp to resolve with
+        _MAX_GRID points (very large gamma), rather than returning a
+        truncated sum.
+        """
+        grid = _MIN_GRID
+        while True:
+            values = rows(TWO_PI / grid * np.arange(grid))
+            coef = np.fft.rfft(values, axis=1).real / grid
+            tail = np.abs(coef[:, grid // 4:]).max(axis=1)
+            if (tail <= _TAIL_TOL * np.abs(values).max(axis=1)).all():
+                break
+            grid *= 2
+            if grid > _MAX_GRID:
+                raise NumericalError(
+                    f"pair-model sums at gamma={gamma:g} need more than "
+                    f"{_MAX_GRID // 4} Fourier modes; use a smaller decay rate")
+        modes = grid // 4
+        s = self.sums(modes)
+        power = s.real ** 2 + s.imag ** 2
+        totals = np.array([c[0] * power[0] + 2.0 * np.dot(c[1:modes], power[1:])
+                           for c in coef])
+        return 0.5 * (totals - self.n * values[:, 0])
 
 
 def _outcome_excess(beta: np.ndarray, g: float):
@@ -259,8 +261,10 @@ class _PairSumModel:
     """A random-graph model whose log-likelihood is gamma * slope less a
     pair sum S(gamma), with ``slope`` an O(m) edge term taken once (None
     without a graph), and whose expected edge count is a pair sum N(gamma).
-    Subclasses give ``_sums(gamma, expected, derivatives)``: S, or N when
-    ``expected``, followed by its gamma-derivatives when ``derivatives``.
+    Subclasses give ``_rows(gamma, expected, derivatives)``, the row stack
+    of one pair's term of S, or of N when ``expected``, followed by its
+    gamma-derivatives when ``derivatives``; and ``pairs``, whose
+    ``sum(rows, gamma)`` sums each row of such a stack over the pairs.
 
     ``loglik(gamma, derivatives=True)`` returns (l, l', l'') and
     ``expected_edges(gamma, derivatives=True)`` (N, N'), each from one pass
@@ -268,6 +272,9 @@ class _PairSumModel:
     """
 
     slope: float | None
+
+    def _sums(self, gamma: float, expected: bool, derivatives: bool) -> np.ndarray:
+        return self.pairs.sum(self._rows(gamma, expected, derivatives), gamma)
 
     def loglik(self, gamma: float, derivatives: bool = False):
         gamma = _check_gamma(gamma)
@@ -304,12 +311,11 @@ class _PairModel(_PairSumModel):
             if theta.shape != (graph.n,):
                 raise ValueError(f"theta has length {theta.size}, expected {graph.n}")
         self.g = _check_rotation(g)
-        self.spectrum = _AngleSpectrum(theta)
+        self.pairs = _AngleSpectrum(theta)
         self.slope = None if graph is None else _observed_excess(graph, theta, self.g)
 
-    def _sums(self, gamma: float, expected: bool, derivatives: bool) -> np.ndarray:
-        return _pair_sum(self.spectrum, _pair_rows(gamma, self.g, expected, derivatives),
-                         gamma)
+    def _rows(self, gamma: float, expected: bool, derivatives: bool):
+        return _pair_rows(gamma, self.g, expected, derivatives)
 
 
 def make_prdrg_loglik(graph: DirectedGraph, theta, g: float) -> Callable[..., float]:
@@ -375,30 +381,33 @@ def _absent_neglogprob(x: np.ndarray) -> np.ndarray:
     return np.log1p(np.exp(np.negative(x, out=x), out=x), out=x)
 
 
-def _edge_rows(q: np.ndarray, gamma: float, out: np.ndarray) -> np.ndarray:
-    """P(edge) = 1 / (1 + exp(gamma * q)) for squared gaps q, in out[0], and
-    with a second row its gamma-derivative -q * P * (1 - P) in out[1]."""
-    prob = _edge_prob(np.multiply(gamma, q, out=out[0]))
-    if len(out) > 1:
-        slope = np.subtract(1.0, prob, out=out[1])
-        slope *= prob
-        slope *= q
-        np.negative(slope, out=slope)
-    return out
+def _level_rows(gamma: float, expected: bool, derivatives: bool):
+    """Row stack of one ordered pair's term as a function of its squared
+    gap q = (h_j - h_i - 1)^2.
 
+    The term is P(edge) = 1 / (1 + exp(gamma * q)) when ``expected``, else
+    -log P(no edge) = log1p(exp(-gamma * q)).  With ``derivatives`` the
+    stack adds their gamma-derivatives: -q * P * (1 - P) for P(edge), and
+    -q * P and q^2 * P * (1 - P) for -log P(no edge).  ``rows(q)`` fills
+    one new array in place.
+    """
+    def rows(q):
+        out = np.empty((1 + derivatives * (1 if expected else 2),) + q.shape)
+        if expected or derivatives:
+            prob = _edge_prob(np.multiply(gamma, q, out=out[0 if expected else 1]))
+        if derivatives:             # -q * P * (1 - P), in the last row
+            slope = np.subtract(1.0, prob, out=out[-1])
+            slope *= prob
+            slope *= q
+            np.negative(slope, out=slope)
+        if not expected:
+            for row in out[1:]:     # times -q: -q * P and q^2 * P * (1 - P)
+                row *= q
+                np.negative(row, out=row)
+            _absent_neglogprob(np.multiply(gamma, q, out=out[0]))
+        return out
 
-def _absent_rows(q: np.ndarray, gamma: float, out: np.ndarray) -> np.ndarray:
-    """-log P(no edge) = log1p(exp(-gamma * q)) for squared gaps q, in
-    out[0], and with three rows its gamma-derivatives -q * P and
-    q^2 * P * (1 - P) in out[1] and out[2], P = P(edge)."""
-    if len(out) > 1:
-        _edge_rows(q, gamma, out[1:])       # P, -q * P * (1 - P)
-        np.multiply(out[2], q, out=out[2])
-        np.negative(out[2], out=out[2])
-        np.multiply(out[1], q, out=out[1])
-        np.negative(out[1], out=out[1])
-    _absent_neglogprob(np.multiply(gamma, q, out=out[0]))
-    return out
+    return rows
 
 
 def _level_penalty(h: np.ndarray) -> np.ndarray:
@@ -410,18 +419,20 @@ def _level_penalty(h: np.ndarray) -> np.ndarray:
 
 # Level-model pair sums by Chebyshev interpolation.  Let psi(d) be f at the
 # squared gap q = (d - 1)^2, and R = max h - min h.  With t_p the P Chebyshev
-# points of [min h, max h] and w_p = sum_i L_p(h_i) the summed barycentric
-# Lagrange weights of the levels on them,
+# points of [min h, max h] and w_p = sum_i L_p(h_i) the summed Lagrange
+# weights of the levels on them,
 #     sum_{i,j} psi(h_j - h_i) = sum_{p,r} w_p w_r psi(t_r - t_p),
-# exactly when psi is a polynomial of degree < P on [-R, R].  P doubles from
+# exactly when psi is a polynomial of degree < P on [-R, R].  In the variable
+# u = (mid - h) / half of [-1, 1], t_p sits at cos(pi*p/(P-1)), and the
+# weights are the DCT-I of the Chebyshev moments M_k = sum_i T_k(u_i), the
+# real parts of the sums S_k of _AngleSpectrum(arccos u).  P doubles from
 # _MIN_NODES until the Chebyshev coefficients on [-R, R] above 3P/4 of every
 # row psi of the probe's stack (a function and its gamma-derivatives) are
 # at the rounding level of its samples.  Once P reaches n the nodes are
 # the levels themselves with unit weights, and the sum is the exact one.
 
 _MIN_NODES = 32
-_BLOCK = 1 << 15         # entries of each block buffer a sum works in
-_MAX_ROWS = 3            # rows of the largest stack: a function, two derivatives
+_BLOCK = 1 << 15         # entries of each block of squared gaps a sum works in
 
 
 def _chebyshev_points(lo: float, hi: float, count: int) -> np.ndarray:
@@ -433,17 +444,15 @@ def _chebyshev_points(lo: float, hi: float, count: int) -> np.ndarray:
     return points
 
 
-def _resolves(f: Callable, rows: int, gamma: float, span: float,
-              nodes: int) -> bool:
-    """Whether every row of psi(d), f at q = (d - 1)^2, on [-span, span]
-    has its Chebyshev coefficients above 3/4 of ``nodes`` at the rounding
-    level.
+def _resolves(rows: Callable, span: float, nodes: int) -> bool:
+    """Whether every row of psi(d), ``rows`` at q = (d - 1)^2, on
+    [-span, span] has its Chebyshev coefficients above 3/4 of ``nodes`` at
+    the rounding level.
 
     The coefficients come from the FFT of the samples at ``nodes`` points,
     mirrored (a DCT-I), whose rounding floor stays below _TAIL_TOL.
     """
-    d = _chebyshev_points(-span, span, nodes)
-    values = f(np.square(d - 1.0), gamma, np.empty((rows, nodes)))
+    values = rows(np.square(_chebyshev_points(-span, span, nodes) - 1.0))
     coef = np.fft.rfft(np.concatenate([values, values[:, -2:0:-1]], axis=1),
                        axis=1).real
     tail = np.abs(coef[:, 3 * nodes // 4:]).max(axis=1) / (nodes - 1)
@@ -452,41 +461,31 @@ def _resolves(f: Callable, rows: int, gamma: float, span: float,
 
 class _LevelPairSums:
     """Sums over ordered pairs i != j of f at q = (h_j - h_i - 1)^2 for one
-    level vector h, the level model's counterpart of _AngleSpectrum and
-    _pair_sum.
+    level vector h, the level model's counterpart of _AngleSpectrum.sum.
 
-    ``f(q, gamma, out)`` writes a stack of rows, as many as ``out`` has,
-    for the squared gaps q into ``out`` (see _edge_rows and _absent_rows).
-    The Lagrange weights of each P are built once, in O(n*P) time, and
-    kept.  Every sum works in block buffers of _BLOCK entries allocated
-    once, so a probe allocates O(P) and no n x n array: call from one
-    thread at a time.
+    ``rows(q)`` returns a stack of rows for the squared gaps q (see
+    _level_rows).  The weights of each P are built once, from the first P
+    Chebyshev moments of the levels, and kept.  A sum evaluates the P x P
+    squared gaps in blocks of _BLOCK entries that it allocates, so a probe
+    allocates O(P) and no n x n array.
     """
 
     def __init__(self, h: np.ndarray):
         self.h = h
         self.n = len(h)
         self.lo, self.hi = (float(h.min()), float(h.max())) if self.n else (0.0, 0.0)
+        # arccos((mid - h) / half), as 2 * atan2 so that levels next to
+        # either end keep their full relative precision
+        self.moments = _AngleSpectrum(2.0 * np.arctan2(np.sqrt(h - self.lo),
+                                                       np.sqrt(self.hi - h)))
         self._grids: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._buffer = np.empty((1 + _MAX_ROWS, _BLOCK))
 
-    def _blocks(self, count: int, width: int, rows: int = 0):
-        """(start, block, out) for consecutive blocks of a count x width
-        array: ``block`` is the first buffer viewed as the block, and
-        ``out`` the next ``rows`` buffers viewed alike, stacked."""
-        height = max(1, _BLOCK // max(width, 1))
-        for start in range(0, count, height):
-            size = (min(start + height, count) - start) * width
-            views = self._buffer[:1 + rows, :size].reshape(1 + rows, -1, width)
-            yield start, views[0], views[1:]
-
-    def node_count(self, f: Callable, gamma: float, rows: int = 1) -> int:
+    def node_count(self, rows: Callable) -> int:
         """P for this probe: n for the exact sum, 1 when every level is equal."""
         if self.hi == self.lo:
             return min(self.n, 1)
         nodes = _MIN_NODES
-        while nodes < self.n and not _resolves(f, rows, gamma, self.hi - self.lo,
-                                               nodes):
+        while nodes < self.n and not _resolves(rows, self.hi - self.lo, nodes):
             nodes *= 2
         return min(nodes, self.n)
 
@@ -501,36 +500,25 @@ class _LevelPairSums:
             return self.h, np.ones(self.n)
         if nodes == 1:
             return np.array([self.lo]), np.array([float(self.n)])
-        points = _chebyshev_points(self.lo, self.hi, nodes)
-        lam = np.resize([1.0, -1.0], nodes)     # barycentric weights
-        lam[[0, -1]] *= 0.5
-        weights = np.zeros(nodes)
-        for start, block, _ in self._blocks(self.n, nodes):
-            np.subtract.outer(self.h[start:start + len(block)], points, out=block)
-            with np.errstate(divide="ignore"):
-                np.divide(lam, block, out=block)
-            # a level on a node: its Lagrange row is that node's unit vector
-            hit = np.isinf(block)
-            on_node = hit.any(axis=1)
-            block[on_node] = hit[on_node]
-            block /= block.sum(axis=1, keepdims=True)
-            weights += block.sum(axis=0)
-        return points, weights
+        moments = self.moments.sums(nodes).real
+        weights = np.fft.rfft(np.concatenate([moments, moments[-2:0:-1]])).real
+        weights /= nodes - 1
+        weights[[0, -1]] *= 0.5
+        return _chebyshev_points(self.lo, self.hi, nodes), weights
 
-    def sum(self, f: Callable, gamma: float, rows: int = 1) -> np.ndarray:
-        """The pair sum of each of the ``rows`` rows of f, from one P."""
-        points, weights = self._grid(self.node_count(f, gamma, rows))
-        totals = [0.0] * rows
-        for start, gaps, out in self._blocks(len(points), len(points), rows):
-            np.subtract.outer(points[start:start + len(gaps)], points, out=gaps)
-            np.add(gaps, 1.0, out=gaps)         # t_p - t_q + 1 = -(t_q - t_p - 1)
+    def sum(self, rows: Callable, gamma: float) -> np.ndarray:
+        """The pair sum of each row of ``rows``, from one P.  ``gamma`` goes
+        unread: P tops out at the exact sum, so no rate is too large."""
+        points, weights = self._grid(self.node_count(rows))
+        height = max(1, _BLOCK // max(len(points), 1))
+        totals = 0.0
+        for start in range(0, len(points), height):
+            gaps = np.subtract.outer(points[start:start + height], points)
+            gaps += 1.0                         # t_p - t_r + 1 = -(t_r - t_p - 1)
             np.square(gaps, out=gaps)
-            f(gaps, gamma, out)
             part = weights[start:start + len(gaps)]
-            for r in range(rows):
-                totals[r] += float(part @ (out[r] @ weights))
-        diagonal = f(np.ones(1), gamma, np.empty((rows, 1)))[:, 0]
-        return np.array(totals) - self.n * diagonal
+            totals += np.array([part @ (row @ weights) for row in rows(gaps)])
+        return totals - self.n * rows(np.ones(1))[:, 0]
 
 
 def trophic_edge_prob(h_i, h_j, gamma: float):
@@ -555,7 +543,7 @@ class _LevelModel(_PairSumModel):
     taken once, less the pair sum of -log P(no edge) = log1p(exp(-x)) over
     all ordered pairs; the expected count is the pair sum of P(edge).
     Setup is O(n + m); a probe costs O(P^2) with P <= n nodes, and O(n * P)
-    more the first time it needs a new P.  Call from one thread at a time.
+    more the first time it needs a new P.
     """
 
     def __init__(self, h, graph: DirectedGraph | None = None):
@@ -572,10 +560,7 @@ class _LevelModel(_PairSumModel):
             self.slope = -float(np.square(h[src] - h[dst] + 1.0).sum())
         self.pairs = _LevelPairSums(h)
 
-    def _sums(self, gamma: float, expected: bool, derivatives: bool) -> np.ndarray:
-        if expected:
-            return self.pairs.sum(_edge_rows, gamma, 2 if derivatives else 1)
-        return self.pairs.sum(_absent_rows, gamma, 3 if derivatives else 1)
+    _rows = staticmethod(_level_rows)
 
 
 def make_trophic_loglik(graph: DirectedGraph, h) -> Callable[..., float]:

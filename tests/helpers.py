@@ -202,6 +202,46 @@ def masked_bernoulli_loglik(graph: DirectedGraph, h, gamma):
     return float(np.sum(np.where(adj[off], log_absent - x, log_absent)))
 
 
+def barycentric_level_weights(h, nodes: int) -> np.ndarray:
+    """Summed Lagrange weights sum_i L_p(h_i) of the levels h on the
+    ``nodes`` Chebyshev points of [min h, max h], by the barycentric formula
+    a block of levels at a time: the oracle for the weights that
+    dirlap.models builds from Chebyshev moments.
+
+    A level on a point has that point's unit vector as its Lagrange row.
+    The gaps are taken in angle, u - x_p = -2 sin((theta + phi_p) / 2)
+    sin((theta - phi_p) / 2) with u = cos(theta) = (mid - h) / half and the
+    points x_p = cos(phi_p), phi_p = pi * p / (nodes - 1), so that the
+    points are exact and not rounded to floats next to the ends.
+    """
+    h = np.asarray(h, dtype=float)
+    lo, hi = h.min(), h.max()
+    theta = 2.0 * np.arctan2(np.sqrt(h - lo), np.sqrt(hi - h))
+    phi = np.pi * np.arange(nodes) / (nodes - 1)
+    lam = np.resize([1.0, -1.0], nodes)     # barycentric weights
+    lam[[0, -1]] *= 0.5
+    weights = np.zeros(nodes)
+    for start in range(0, len(h), 256):
+        angle = theta[start:start + 256, None]
+        with np.errstate(divide="ignore"):  # the constant -2 cancels below
+            block = lam / (np.sin(0.5 * (angle + phi)) * np.sin(0.5 * (angle - phi)))
+        hit = np.isinf(block)
+        on_node = hit.any(axis=1)
+        block[on_node] = hit[on_node]
+        block /= block.sum(axis=1, keepdims=True)
+        weights += block.sum(axis=0)
+    return weights
+
+
+def deep_hierarchy() -> tuple[DirectedGraph, np.ndarray]:
+    """Ten levels of 300 nodes (n = 3000) with noise 0.2, each node below
+    the top linked to four random nodes of the next level up."""
+    h = gen_trophic_levels(10, 300, 0.2, 61)
+    src = np.repeat(np.arange(2700), 4)
+    dst = 300 * (src // 300 + 1) + np.random.default_rng(62).integers(0, 300, len(src))
+    return DirectedGraph(3000, np.unique(np.column_stack((src, dst)), axis=0)), h
+
+
 def block_cycle_graph(rng: np.random.Generator, blocks: int, size: int,
                       out_degree: float = 8.0,
                       forward_share: float = 0.85) -> DirectedGraph:

@@ -103,12 +103,16 @@ class TestCompareCommand:
                    "--out-dir", tmp_path / "o")
         assert code == 2
 
-    def test_weighted_input_rejected(self, tmp_path):
+    def test_weighted_input_rejected(self, tmp_path, capsys):
+        # compare has no --weighted flag: the models are for unweighted graphs
         weighted = tmp_path / "w.edges"
         weighted.write_text("a b 0.5\nb a 0.5\n")
         code = run("compare", "--input", weighted, "--weighted",
                    "--out-dir", tmp_path / "o")
         assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error [arguments]: unrecognized arguments: --weighted"]
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.filterwarnings("ignore::dirlap.DegeneracyWarning")
     def test_auto_policy_falls_back_to_wcc(self, tmp_path, capsys):
@@ -545,6 +549,32 @@ class TestCurveCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error [attributes]:"), err
         assert repr(label) in err[0]
+        assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("model, value, accepted", [
+        ("trophic", "1e75", True), ("trophic", "-1.0000001e75", False),
+        ("trophic", "1e200", False), ("prdrg", "-1e6", True),
+        ("prdrg", "1.000001e6", False), ("prdrg", "1e300", False)])
+    def test_huge_attribute(self, tmp_path, capsys, model, value, accepted):
+        # levels past 1e75 would overflow their squared gaps, and angles past
+        # 1e6 lose the angle to float spacing; both bounds are accepted
+        graph_file, attrs = self._generated(tmp_path, model=model)
+        rows = attrs.read_text().splitlines()
+        label = rows[2].split(",")[0]
+        rows[2] = f"{label},{value}"
+        attrs.write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
+        # a RuntimeWarning fails the test (pyproject.toml's filterwarnings)
+        code = run("curve", "--input", graph_file, "--model", model, "--g", "1/3",
+                   "--attributes", attrs, "--out", tmp_path / "c.csv")
+        err = [line for line in capsys.readouterr().err.splitlines()
+               if not line.startswith("notice:")]
+        if accepted:
+            assert code == 0 and err == []
+            return
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error [attributes]:"), err
+        assert repr(label) in err[0] and "exceeds" in err[0]
         assert not (tmp_path / "c.csv").exists()
 
     def test_attribute_length_mismatch(self, tmp_path):

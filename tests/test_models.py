@@ -16,12 +16,13 @@ from dirlap import (DirectedGraph, KernelModel, NumericalError, PRDRGParams,
                     trophic_algorithm, trophic_edge_prob,
                     trophic_expected_edges, trophic_loglik, trophic_sample,
                     weighted_trophic_logdensity)
-from dirlap.models import (_absent_rows, _edge_rows, _LevelPairSums,
-                           _observed_excess, make_prdrg_expected_edges,
-                           make_prdrg_loglik, make_trophic_expected_edges,
-                           make_trophic_loglik,
+from dirlap.models import (_chebyshev_points, _level_rows, _LevelPairSums,
+                           _observed_excess,
+                           make_prdrg_expected_edges, make_prdrg_loglik,
+                           make_trophic_expected_edges, make_trophic_loglik,
                            make_weighted_trophic_logdensity)
-from helpers import (adjacency, block_cycle_graph, direct_bernoulli_loglik,
+from helpers import (adjacency, barycentric_level_weights, block_cycle_graph,
+                     deep_hierarchy, direct_bernoulli_loglik,
                      direct_trophic_expected_edges, exact_prdrg_expected_edges,
                      exact_prdrg_loglik, level_fixtures,
                      masked_bernoulli_loglik, masked_trophic_expected_edges,
@@ -755,8 +756,8 @@ class TestLevelPairSums:
     @staticmethod
     def node_counts(h, gammas):
         sums = _LevelPairSums(np.asarray(h, dtype=float))
-        return {sums.node_count(f, gamma, rows) for f, rows in
-                ((_absent_rows, 1), (_absent_rows, 3), (_edge_rows, 1), (_edge_rows, 2))
+        return {sums.node_count(_level_rows(gamma, expected, derivatives))
+                for expected, derivatives in itertools.product((False, True), repeat=2)
                 for gamma in gammas}
 
     def test_narrow_levels_stay_on_chebyshev_nodes(self):
@@ -789,10 +790,48 @@ class TestLevelPairSums:
         rng = np.random.default_rng(n)
         h = gen_trophic_levels(5, n // 5, 0.2, n)
         order = rng.permutation(n)
-        for f, rows in ((_absent_rows, 3), (_edge_rows, 2)):
+        for expected in (False, True):
             sums = [_LevelPairSums(v) for v in (h, h[order], h + 3.7, h - 1.25)]
             for gamma in self.GAMMAS:
-                base = sums[0].sum(f, gamma, rows)
+                rows = _level_rows(gamma, expected, True)
+                base = sums[0].sum(rows, gamma)
                 for other in sums[1:]:
-                    np.testing.assert_allclose(other.sum(f, gamma, rows), base,
+                    np.testing.assert_allclose(other.sum(rows, gamma), base,
                                                rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("levels", [
+        lambda nodes: gen_trophic_levels(1, 1000, 0.1, 31),     # narrow
+        lambda nodes: gen_trophic_levels(30, 100, 0.2, 5),      # a 30-level line
+        lambda nodes: np.repeat(_chebyshev_points(0.5, 7.5, nodes), 2),  # on the points
+    ], ids=["narrow", "line30", "on-points"])
+    def test_moment_weights_match_barycentric_oracle(self, levels):
+        for nodes in 2 ** np.arange(5, 13):
+            h = levels(nodes)
+            weights = _LevelPairSums(h)._build_grid(nodes)[1]
+            np.testing.assert_allclose(weights, barycentric_level_weights(h, nodes),
+                                       rtol=0.0, atol=1e-14 * len(h))
+
+    def test_deep_hierarchy_at_high_rate(self):
+        # R = 9.4: P stays below n = 3000 up to gamma = 30 and reaches it,
+        # the exact sum, at 50
+        graph, h = deep_hierarchy()
+        sums = _LevelPairSums(h)
+        loglik = make_trophic_loglik(graph, h)
+        expected = make_trophic_expected_edges(h)
+        for gamma in (1.0, 10.0, 30.0, 50.0):
+            counts = {sums.node_count(_level_rows(gamma, e, d))
+                      for e, d in itertools.product((False, True), repeat=2)}
+            assert max(counts) < graph.n if gamma < 50.0 else counts == {graph.n}
+            assert loglik(gamma) == pytest.approx(
+                direct_bernoulli_loglik(graph, h, gamma), rel=1e-13, abs=0.0)
+            assert expected(gamma) == pytest.approx(
+                direct_trophic_expected_edges(h, gamma), rel=1e-13, abs=0.0)
+
+    def test_value_independent_of_probe_order(self):
+        graph, h = deep_hierarchy()
+        fresh = [make_trophic_loglik(graph, h)(1.0, derivatives=True),
+                 make_trophic_expected_edges(h)(1.0, derivatives=True)]
+        probed = [make_trophic_loglik(graph, h), make_trophic_expected_edges(h)]
+        for probe in probed:
+            probe(30.0)         # builds more moments, and P = 2048, first
+        assert [probe(1.0, derivatives=True) for probe in probed] == fresh
