@@ -125,6 +125,9 @@ def _load_graph(path: Path, weighted: bool):
     if result.self_loops_dropped:
         print(f"notice: dropped {result.self_loops_dropped} self-loop line(s)",
               file=sys.stderr)
+    if result.weight_columns_ignored:
+        print(f"notice: ignored the weight column of {result.weight_columns_ignored} "
+              "line(s); the graph is read as unweighted", file=sys.stderr)
     return result
 
 

@@ -7,6 +7,7 @@ import functools
 import io
 import itertools
 import operator
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -174,6 +175,8 @@ def _check_edges(n: int, idx: np.ndarray) -> None:
 class ParseResult:
     graph: DirectedGraph
     self_loops_dropped: int
+    # data lines whose third column an unweighted parse ignored
+    weight_columns_ignored: int
 
 
 # lines split at a time: the token lists of one chunk are alive at once,
@@ -199,8 +202,9 @@ def parse_edge_list(text: str | Iterable[str], weighted: bool = False) -> ParseR
     lines are ignored.  Node labels are arbitrary strings mapped to dense
     indices in order of first appearance.  Self-loop lines are dropped and
     counted.  Duplicate edges collapse in unweighted mode and are rejected
-    in weighted mode.  When several lines are malformed, the error names
-    the first of them.
+    in weighted mode; an unweighted parse ignores a third column and
+    counts the lines that have one.  When several lines are malformed, the
+    error names the first of them.
 
     Lines are split a chunk at a time; labels map to ids through one dict
     and the rest is array work, so no Python object is kept per edge.
@@ -215,7 +219,7 @@ def parse_edge_list(text: str | Iterable[str], weighted: bool = False) -> ParseR
         scanned = _scan_plain(source)
     if scanned is None:
         scanned = _scan(_lines(source), weighted)
-    labels, ids, weights, error = scanned
+    labels, ids, weights, error, ignored = scanned
     src, dst = ids[0::2], ids[1::2]
     n = len(labels)
     nonloop = np.flatnonzero(src != dst)
@@ -247,7 +251,7 @@ def parse_edge_list(text: str | Iterable[str], weighted: bool = False) -> ParseR
         edge_index = np.empty((len(keys), 2), dtype=np.int64)
         np.divmod(keys, max(n, 1), out=(edge_index[:, 0], edge_index[:, 1]))
         graph = DirectedGraph(n, edge_index, None, labels)
-    return ParseResult(graph, loops)
+    return ParseResult(graph, loops, ignored)
 
 
 def _lines(source: str | list[str]) -> list[str]:
@@ -257,14 +261,16 @@ def _lines(source: str | list[str]) -> list[str]:
 def _scan(lines: list[str], weighted: bool):
     """Split ``lines`` a chunk at a time and map labels to ids.
 
-    Returns (labels, ids, weights, error): ``ids`` interleaves the source
-    and target id of each data row, ``weights`` holds the weights of the
-    non-loop rows in weighted mode, and ``error`` is (data row, message)
-    for the first row with a wrong token count or a bad weight, or None.
-    Scanning stops at that row: ``ids`` ends before it.
+    Returns (labels, ids, weights, error, ignored): ``ids`` interleaves the
+    source and target id of each data row, ``weights`` holds the weights of
+    the non-loop rows in weighted mode, ``error`` is (data row, message)
+    for the first row with a wrong token count or a bad weight, or None,
+    and ``ignored`` counts the rows with a third column in unweighted mode.
+    Scanning stops at the bad row: ``ids`` ends before it.
     """
     arity = {3} if weighted else {2, 3}
-    index: dict[str, int] = {}
+    index = _label_index()
+    ignored = 0
     id_parts: list[np.ndarray] = []
     weight_parts: list[np.ndarray] = []
     error = None
@@ -274,8 +280,11 @@ def _scan(lines: list[str], weighted: bool):
         # first character after leading whitespace is not # or %
         rows = [tokens for tokens in map(str.split, lines[start:start + _CHUNK_LINES])
                 if tokens and tokens[0][0] not in "#%"]
-        if not arity.issuperset(map(len, rows)):
-            r = next(r for r, tokens in enumerate(rows) if len(tokens) not in arity)
+        lengths = list(map(len, rows))
+        if not weighted:
+            ignored += lengths.count(3)
+        if not arity.issuperset(lengths):
+            r = next(r for r, length in enumerate(lengths) if length not in arity)
             error = (rows_before + r,
                      "expected 'src dst weight'" if weighted else "expected 'src dst'")
             rows = rows[:r]
@@ -299,7 +308,7 @@ def _scan(lines: list[str], weighted: bool):
     weights = None
     if weighted:
         weights = np.concatenate(weight_parts) if weight_parts else np.empty(0)
-    return tuple(index), ids, weights, error
+    return tuple(index), ids, weights, error, ignored
 
 
 def _scan_plain(text: str):
@@ -312,7 +321,7 @@ def _scan_plain(text: str):
     whole chunk yields the labels in line order, two per edge.  Chunks of
     about ``_CHUNK_CHARS`` characters end just after a line end.
     """
-    index: dict[str, int] = {}
+    index = _label_index()
     id_parts: list[np.ndarray] = []
     start = 0
     while start < len(text):
@@ -333,14 +342,17 @@ def _scan_plain(text: str):
             return None
         id_parts.append(_label_ids(index, chunk.split()))
     ids = np.concatenate(id_parts) if id_parts else np.empty(0, dtype=np.int64)
-    return tuple(index), ids, None, None
+    return tuple(index), ids, None, None, 0
 
 
-def _label_ids(index: dict[str, int], names: list[str]) -> np.ndarray:
-    """Ids of ``names``; a label not yet in ``index`` gets the next free id,
-    in order of first appearance."""
-    fresh = [name for name in dict.fromkeys(names) if name not in index]
-    index.update(zip(fresh, range(len(index), len(index) + len(fresh))))
+def _label_index() -> defaultdict[str, int]:
+    """Label-to-id map that gives a label it has not seen the next free id,
+    so its keys run in order of first appearance."""
+    return defaultdict(itertools.count().__next__)
+
+
+def _label_ids(index: defaultdict[str, int], names: list[str]) -> np.ndarray:
+    """Ids of ``names`` from a :func:`_label_index`, one lookup per name."""
     return np.fromiter(map(index.__getitem__, names), np.int64, len(names))
 
 
@@ -481,6 +493,53 @@ class SymmetrizedView:
     @property
     def n(self) -> int:
         return len(self.degrees)
+
+    def laplacian(self, off_diagonal: np.ndarray) -> csr_matrix:
+        """diag(degrees) - M as CSR, M being ``wsym``'s pattern holding
+        ``off_diagonal`` (aligned with ``wsym.data``).
+
+        The pattern, diagonal included, is built once per view; each call
+        only fills its data.  The entries are those of the sparse sum
+        ``diags(degrees) - M``: an entry v of M is stored as 0 - v, and a
+        node of degree 0 stores no diagonal entry.
+        """
+        indices, indptr, diagonal, entries = self._laplacian_pattern
+        data = np.empty(len(indices), np.result_type(off_diagonal, self.degrees))
+        data[diagonal] = self.degrees[indices[diagonal]]
+        data[entries] = 0.0 - off_diagonal
+        return csr_matrix((data, indices, indptr), shape=(self.n, self.n))
+
+    @functools.cached_property
+    def _distinct_alpha(self) -> tuple[np.ndarray, np.ndarray]:
+        """(values, slot): the distinct values of ``alpha.data``, ascending,
+        and each entry's index among them (three values when unweighted)."""
+        values, slot = np.unique(self.alpha.data, return_inverse=True)
+        values.setflags(write=False)
+        slot.setflags(write=False)
+        return values, slot
+
+    @functools.cached_property
+    def _laplacian_pattern(self) -> tuple[np.ndarray, ...]:
+        """(indices, indptr, diagonal, entries): ``wsym``'s CSR pattern with
+        a diagonal entry added in every row of nonzero degree, the slots of
+        those diagonal entries, and the slots of ``wsym``'s entries."""
+        n, cols, indptr = self.n, self.wsym.indices, self.wsym.indptr
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        has_diagonal = self.degrees != 0
+        through = np.cumsum(has_diagonal)   # diagonal entries up to each row
+        above = through - has_diagonal      # ... and in the rows above it
+        entries = np.arange(len(cols)) + above[rows] + (has_diagonal[rows] & (cols > rows))
+        diagonal_rows = np.flatnonzero(has_diagonal)
+        left = np.bincount(rows[cols < rows], minlength=n)[diagonal_rows]
+        diagonal = indptr[diagonal_rows] + above[diagonal_rows] + left
+        indices = np.empty(len(cols) + len(diagonal_rows), dtype=cols.dtype)
+        indices[entries] = cols
+        indices[diagonal] = diagonal_rows
+        pattern = (indices, np.append(0, indptr[1:] + through).astype(indptr.dtype),
+                   diagonal, entries)
+        for arr in pattern:
+            arr.setflags(write=False)
+        return pattern
 
 
 def _freeze_csr(mat: csr_matrix) -> None:

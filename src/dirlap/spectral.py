@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 from scipy.sparse import csr_matrix, diags
-from scipy.sparse.linalg import cg, lobpcg
+from scipy.sparse.linalg import cg
 
 from .graphs import (DirectedGraph, GraphStructureError, SymmetrizedView,
                      _freeze_csr, _symmetrize, csv_text, is_weakly_connected,
@@ -27,15 +27,17 @@ _TINY_COMPONENT = 1e-12
 _EIGENVALUE_GAP = 1e-10
 
 # Bottom eigenpair solver.  From this many nodes on, LOBPCG on the sparse
-# matrix; below it a dense solve for the two lowest pairs.  The two cost
-# the same near n = 350 on dense graphs and n = 550 on sparse ones (one
-# BLAS thread; README, "Bottom eigenpair").  Tolerances are relative to
-# the Gershgorin bound on the spectral radius, twice the largest degree.
+# matrix; below it a dense solve for the two lowest pairs (README, "Bottom
+# eigenpair").  Tolerances are relative to the Gershgorin bound on the
+# spectral radius, twice the largest degree.
 _LOBPCG_MIN_NODES = 400
-_LOBPCG_TOL = 1e-14         # residual norm asked of lobpcg
+_LOBPCG_BLOCK = 3           # Ritz pairs carried: the bottom pair and one helper
+_LOBPCG_TOL = 1e-14         # residual norm asked of the bottom pair
 _LOBPCG_ACCEPT = 1e-11      # largest residual norm accepted without the dense path
 _LOBPCG_TIE_MARGIN = 1e-6   # closer Ritz values may be a tie: the dense path decides
 _LOBPCG_MAXITER = 500
+_LOBPCG_STALL = 20          # steps the bottom pair's residual may take to halve
+_LOBPCG_PIVOT = 1e-8        # smallest Cholesky pivot of a usable basis Gram
 _LOBPCG_SEED = 0            # fixed start block, so a g's phases depend on g alone
 
 # Level solve: Jacobi-preconditioned conjugate gradients.  The residual
@@ -119,15 +121,14 @@ def frustration(sym: SymmetrizedView, theta, g: float) -> float:
 def build_magnetic_laplacian(sym: SymmetrizedView, g: float) -> MagneticLaplacian:
     """Assemble diag(degrees) - transporter o wsym for the given rotation g.
 
-    The result is CSR; the transporter is evaluated on the stored entries
-    of ``wsym`` only.
+    The result is CSR on the view's Laplacian pattern, built once per view.
+    The transporter is evaluated once per distinct value of alpha and
+    looked up for each stored entry of ``wsym``.
     """
     g = _check_rotation(g)
-    transporter = np.exp(-1j * TWO_PI * g * sym.alpha.data)
-    off_diagonal = csr_matrix((-(transporter * sym.wsym.data), sym.wsym.indices,
-                               sym.wsym.indptr), shape=sym.wsym.shape)
-    matrix = (off_diagonal + diags(sym.degrees.astype(complex))).tocsr()
-    return MagneticLaplacian(g=g, matrix=matrix)
+    alphas, slot = sym._distinct_alpha
+    transporter = np.exp(-1j * TWO_PI * g * alphas)[slot]
+    return MagneticLaplacian(g=g, matrix=sym.laplacian(transporter * sym.wsym.data))
 
 
 def quadratic_form(lap: MagneticLaplacian, psi) -> float:
@@ -168,34 +169,90 @@ def smallest_eigenpair(lap: MagneticLaplacian) -> tuple[float, np.ndarray]:
 
 
 def _lobpcg_pair(matrix: csr_matrix) -> tuple[float, np.ndarray] | None:
-    """Bottom pair by LOBPCG (block size 2, Jacobi preconditioner), or
-    None when the result is not certified: a residual above tolerance or
-    two Ritz values within the tie margin."""
-    scale = float(abs(matrix).sum(axis=1).max())
+    """Bottom pair by LOBPCG, or None when the result is not certified: a
+    residual above tolerance or two Ritz values within the tie margin.
+
+    Block LOBPCG (Knyazev, SIAM J. Sci. Comput. 23(2), 2001) with a Jacobi
+    preconditioner.  Each step multiplies the matrix into the
+    preconditioned residuals W alone; A X and A P are carried along.  The
+    Cholesky factor of the Gram of [X, W, P] orthonormalizes [W, P]
+    against X, and P is dropped for a step when that factor fails.  The
+    run stops once the bottom two residuals meet the tolerance, or once the
+    larger of them has not halved within _LOBPCG_STALL steps; the check
+    below then accepts or refuses what it has.
+    """
+    diagonal = matrix.diagonal().real
+    # every row of |L| sums to twice its degree
+    scale = 2.0 * float(diagonal.max())
     if scale == 0.0:
         return None
-    n = matrix.shape[0]
-    diagonal = matrix.diagonal().real
-    jacobi = diags(1.0 / np.where(diagonal > 0.0, diagonal, 1.0))
+    n, k = matrix.shape[0], _LOBPCG_BLOCK
+    jacobi = 1.0 / np.where(diagonal > 0.0, diagonal, 1.0)[:, None]
     rng = np.random.default_rng(_LOBPCG_SEED)
-    start = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
-    try:
-        with warnings.catch_warnings():
-            # convergence is judged below, from the residuals themselves
-            warnings.simplefilter("ignore")
-            values, vectors = lobpcg(matrix, start, M=jacobi,
-                                     tol=_LOBPCG_TOL * scale,
-                                     maxiter=_LOBPCG_MAXITER, largest=False)
-    except np.linalg.LinAlgError:
+    x = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    ax = matrix @ x
+    ritz = _rayleigh_ritz(x, ax)
+    if ritz is None:
         return None
-    order = np.argsort(values)
-    values, vectors = values[order], vectors[:, order]
-    vectors = vectors / np.linalg.norm(vectors, axis=0)
+    values, coefficients = ritz
+    x, ax = x @ coefficients, ax @ coefficients
+    p = ap = None
+    anchor, anchor_step = np.inf, 0
+    for step in range(_LOBPCG_MAXITER):
+        residual = ax - x * values
+        bottom = np.linalg.norm(residual[:, :2], axis=0).max()
+        if bottom <= _LOBPCG_TOL * scale:
+            break
+        if bottom < 0.5 * anchor:
+            anchor, anchor_step = bottom, step
+        elif step - anchor_step >= _LOBPCG_STALL:
+            break
+        w = jacobi * residual
+        aw = matrix @ w
+        ritz = None
+        if p is not None:
+            basis, image = np.hstack((x, w, p)), np.hstack((ax, aw, ap))
+            ritz = _rayleigh_ritz(basis, image)
+        if ritz is None:
+            basis, image = np.hstack((x, w)), np.hstack((ax, aw))
+            ritz = _rayleigh_ritz(basis, image)
+            if ritz is None:
+                return None
+        values, coefficients = ritz
+        # new X, and new P: the part of each Ritz vector outside the old X
+        update = np.hstack((coefficients, coefficients))
+        update[:k, k:] = 0.0
+        xp, axp = basis @ update, image @ update
+        x, p, ax, ap = xp[:, :k], xp[:, k:], axp[:, :k], axp[:, k:]
+    vectors = x[:, :2] / np.linalg.norm(x[:, :2], axis=0)
+    values = values[:2]
     residuals = np.linalg.norm(matrix @ vectors - vectors * values, axis=0)
     if (residuals.max() > _LOBPCG_ACCEPT * scale
             or values[1] - values[0] <= _LOBPCG_TIE_MARGIN * scale):
         return None
     return float(values[0]), vectors[:, 0]
+
+
+def _rayleigh_ritz(basis: np.ndarray, image: np.ndarray):
+    """(values, coefficients) of the _LOBPCG_BLOCK lowest Ritz pairs on the
+    span of ``basis``, whose product with the matrix is ``image``, or None
+    when the Cholesky factor of the basis Gram (columns scaled to unit
+    length) fails or has a pivot below _LOBPCG_PIVOT."""
+    gram = basis.conj().T @ basis
+    lengths = np.sqrt(gram.diagonal().real)
+    if not lengths.all():
+        return None
+    try:
+        factor = np.linalg.cholesky(gram / np.outer(lengths, lengths))
+    except np.linalg.LinAlgError:
+        return None
+    if not factor.diagonal().real.min() >= _LOBPCG_PIVOT:
+        return None
+    # basis @ orthonormalizer has orthonormal columns
+    orthonormalizer = np.linalg.inv(factor).conj().T / lengths[:, None]
+    values, vectors = np.linalg.eigh(
+        orthonormalizer.conj().T @ (basis.conj().T @ image) @ orthonormalizer)
+    return values[:_LOBPCG_BLOCK], orthonormalizer @ vectors[:, :_LOBPCG_BLOCK]
 
 
 def _dense_pair(matrix: csr_matrix) -> tuple[float, np.ndarray]:
@@ -295,7 +352,7 @@ def _trophic_levels(graph: DirectedGraph, sym: SymmetrizedView) -> TrophicAssign
         raise GraphStructureError(
             "graph is not weakly connected; extract a connected component "
             "(e.g. largest_wcc) before computing levels")
-    half_lam = (diags(sym.degrees) - sym.wsym).tocsr()
+    half_lam = sym.laplacian(sym.wsym.data)
     half_chi = -0.5 * np.ravel(sym.alpha.sum(axis=1))
     # every node of a connected graph has an edge, so degrees > 0
     h, _ = cg(half_lam, half_chi, rtol=_CG_RTOL, atol=0.0,

@@ -5,7 +5,7 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, diags
 
 from dirlap import (DirectedGraph, EdgeListError, SymmetrizedView,
                     TrophicParams, gen_trophic_levels, largest_wcc,
@@ -42,6 +42,16 @@ def reference_symmetrize(graph: DirectedGraph) -> SymmetrizedView:
         wsym=csr_matrix((wsym, cols, indptr), shape=(n, n)),
         degrees=np.bincount(rows, weights=wsym, minlength=n),
         alpha=csr_matrix((alpha, cols, indptr), shape=(n, n)))
+
+
+def reference_magnetic_laplacian(sym: SymmetrizedView, g: float) -> csr_matrix:
+    """diag(degrees) - transporter o wsym by a sparse sum, with the
+    transporter exp(-2*pi*g*alpha*1j) taken entry by entry: the oracle for
+    the pattern fill in dirlap.build_magnetic_laplacian."""
+    transporter = np.exp(-1j * 2.0 * np.pi * g * sym.alpha.data)
+    off_diagonal = csr_matrix((-(transporter * sym.wsym.data), sym.wsym.indices,
+                               sym.wsym.indptr), shape=sym.wsym.shape)
+    return (off_diagonal + diags(sym.degrees.astype(complex))).tocsr()
 
 
 def build_trophic_system(graph: DirectedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -243,19 +253,24 @@ def deep_hierarchy() -> tuple[DirectedGraph, np.ndarray]:
 
 
 def block_cycle_graph(rng: np.random.Generator, blocks: int, size: int,
-                      out_degree: float = 8.0,
-                      forward_share: float = 0.85) -> DirectedGraph:
-    """Sparse graph of equal blocks joined in a directed cycle.
+                      out_degree: float = 8.0, forward_share: float = 0.85,
+                      cyclic: bool = True) -> DirectedGraph:
+    """Sparse graph of equal blocks joined in a directed cycle, or in a
+    directed line when not ``cyclic``.
 
     Node i sends about ``out_degree`` edges; a ``forward_share`` of them go
-    to random nodes of the next block (the last block feeds the first),
-    the rest to random nodes anywhere.
+    to random nodes of the next block (the last block feeds the first when
+    ``cyclic``), the rest to random nodes anywhere.  In a line the last
+    block has no next one, and all its edges go anywhere.
     """
     n = blocks * size
     m = int(out_degree * n)
     src = rng.integers(0, n, m)
     next_block = ((src // size + 1) % blocks) * size + rng.integers(0, size, m)
-    dst = np.where(rng.random(m) < forward_share, next_block, rng.integers(0, n, m))
+    forward = rng.random(m) < forward_share
+    if not cyclic:
+        forward &= src < n - size
+    dst = np.where(forward, next_block, rng.integers(0, n, m))
     edges = {(int(i), int(j)) for i, j in zip(src, dst) if i != j}
     return DirectedGraph(n, tuple(edges))
 

@@ -96,6 +96,30 @@ class TestCompareCommand:
         assert run("compare", "--input", bad, "--out-dir", tmp_path / "o") == 1
         assert "line 2" in capsys.readouterr().err
 
+    # one node of this 3-cycle with a chord has a vanishing eigenvector
+    # component at some rotation, which warns in both runs
+    @pytest.mark.filterwarnings("ignore::dirlap.DegeneracyWarning")
+    def test_weight_column_ignored_with_one_notice(self, tmp_path, capsys):
+        # the same graph with and without a third column: one notice, and
+        # the same bundle apart from report.txt's file line
+        bundles, notices = {}, {}
+        for name, text in (("weighted", "a b 0.5\nb c 0.3\nc a 0.2\na c 0.9\n"),
+                           ("plain", "a b\nb c\nc a\na c\n")):
+            (tmp_path / name).mkdir()
+            graph_file = tmp_path / name / "g.edges"
+            graph_file.write_text(text)
+            out_dir = tmp_path / name / "out"
+            assert run("compare", "--input", graph_file, "--out-dir", out_dir) == 0
+            bundles[name] = {path.name: [line for line in path.read_text().splitlines()
+                                         if not line.startswith("file = ")]
+                             for path in out_dir.iterdir()}
+            notices[name] = [line for line in capsys.readouterr().err.splitlines()
+                             if "weight column" in line]
+        assert notices == {"weighted": ["notice: ignored the weight column of 4 line(s); "
+                                        "the graph is read as unweighted"],
+                           "plain": []}
+        assert bundles["weighted"] == bundles["plain"]
+
     def test_degenerate_component_exits_two(self, tmp_path):
         dag = tmp_path / "dag.edges"
         dag.write_text("a b\nb c\nc d\n")

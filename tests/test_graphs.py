@@ -168,6 +168,14 @@ class TestParseOracle:
         assert result.graph.edge_weights.tolist() == [0.5]
         assert_parsers_agree("a a x\nb b 5\nb c 0.5\n", True)
 
+    @pytest.mark.parametrize("chunk", [1, graphs._CHUNK_LINES])
+    def test_ignored_weight_columns_counted(self, chunk):
+        text = "a b 0.5\nb c\n# c a 0.1\nc c 0.2\n\nc a x\n"
+        with mock.patch.object(graphs, "_CHUNK_LINES", chunk):
+            assert parse_edge_list(text).weight_columns_ignored == 3
+        assert parse_edge_list("a b\nb c\n").weight_columns_ignored == 0
+        assert parse_edge_list("a b 0.5\n", weighted=True).weight_columns_ignored == 0
+
     @pytest.mark.parametrize("weighted", [False, True])
     def test_texts_longer_than_one_chunk(self, weighted):
         rng = np.random.default_rng(8)

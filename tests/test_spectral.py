@@ -6,18 +6,22 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import diags
 
 from dirlap import (DEFAULT_G_CANDIDATES, DegeneracyWarning, DirectedGraph,
                     GraphStructureError, PRDRGParams, apply_ordering,
                     build_magnetic_laplacian, frustration,
                     gen_clustered_angles, is_weakly_connected, largest_scc,
-                    magnetic_algorithm, prdrg_sample, quadratic_form,
-                    smallest_eigenpair, symmetrize, trophic_algorithm,
-                    trophic_incoherence)
+                    largest_wcc, magnetic_algorithm, parse_edge_list,
+                    prdrg_sample, quadratic_form, smallest_eigenpair,
+                    symmetrize, trophic_algorithm, trophic_incoherence)
 from dirlap import spectral
+from dirlap.cli import main
+from dirlap.graphs import _symmetrize
 from helpers import (block_cycle_graph, build_trophic_system,
                      dense_trophic_levels, level_fixtures, random_graph,
-                     random_weakly_connected_graph)
+                     random_weakly_connected_graph,
+                     reference_magnetic_laplacian)
 
 TWO_PI = 2 * np.pi
 
@@ -503,6 +507,132 @@ class TestBottomEigenpairOracle:
                  for g in reversed(DEFAULT_G_CANDIDATES)][::-1]
         for a, b in zip(first, again):
             np.testing.assert_array_equal(a, b)
+
+
+def assert_bit_equal(matrix, reference):
+    assert matrix.data.dtype == reference.data.dtype
+    assert matrix.data.tobytes() == reference.data.tobytes()
+    np.testing.assert_array_equal(matrix.indices, reference.indices)
+    np.testing.assert_array_equal(matrix.indptr, reference.indptr)
+
+
+class TestLaplacianPattern:
+    """The per-view pattern fill against the sparse sum it replaced."""
+
+    @pytest.mark.parametrize("name", sorted(LARGE_GRAPHS))
+    def test_large_graphs(self, name):
+        sym = symmetrize(LARGE_GRAPHS[name]())
+        for g in DEFAULT_G_CANDIDATES:
+            assert_bit_equal(build_magnetic_laplacian(sym, g).matrix,
+                             reference_magnetic_laplacian(sym, g))
+
+    def test_random_graphs(self):
+        rng = np.random.default_rng(73)
+        for _ in range(20):
+            graph = random_graph(rng, int(rng.integers(2, 40)),
+                                 rng.choice([0.02, 0.2, 0.6]))
+            weighted = DirectedGraph(graph.n, graph.edge_index,
+                                     weights=rng.uniform(0.01, 0.99, graph.edge_count))
+            for sym in (symmetrize(graph), _symmetrize(weighted)):
+                for g in DEFAULT_G_CANDIDATES + (0.0, rng.uniform(0, 0.5)):
+                    assert_bit_equal(build_magnetic_laplacian(sym, g).matrix,
+                                     reference_magnetic_laplacian(sym, g))
+                if graph.edge_count:
+                    # the level solve fills the same pattern with wsym
+                    assert_bit_equal(sym.laplacian(sym.wsym.data),
+                                     (diags(sym.degrees) - sym.wsym).tocsr())
+
+    def test_edgeless_graph(self):
+        sym = symmetrize(DirectedGraph(5, ()))
+        for g in DEFAULT_G_CANDIDATES:
+            matrix = build_magnetic_laplacian(sym, g).matrix
+            assert matrix.nnz == 0
+            assert_bit_equal(matrix, reference_magnetic_laplacian(sym, g))
+
+
+def assert_certified_matches_full_dense(lap):
+    certified = spectral._lobpcg_pair(lap.matrix)
+    assert certified is not None, f"g={lap.g}: LOBPCG fell back"
+    value, vec = smallest_eigenpair(lap)
+    assert value == certified[0]
+    spectrum, vectors = np.linalg.eigh(lap.matrix.toarray())
+    assert abs(value - spectrum[0]) <= 1e-9 * spectral_scale(lap)
+    assert np.linalg.norm(vec - gauge_fixed(vectors[:, 0])) <= 1e-8
+
+
+class CountingMatrix:
+    """A matrix that counts its products with blocks of vectors."""
+
+    def __init__(self, matrix):
+        self.matrix, self.products = matrix, 0
+        self.shape = matrix.shape
+
+    def diagonal(self):
+        return self.matrix.diagonal()
+
+    def __matmul__(self, block):
+        self.products += 1
+        return self.matrix @ block
+
+
+class TestBlockLobpcg:
+    """Harder inputs for the block solver, against the full dense spectrum."""
+
+    @staticmethod
+    def generated_level_graph(folder, seed):
+        # the largest WCC of a `dirlap generate` level-model file, as read back
+        path = folder / f"levels-{seed}.edges"
+        assert main(["generate", "--model", "trophic", "--clusters", "5",
+                     "--cluster-size", "100", "--noise", "0.2", "--gamma", "5",
+                     "--seed", str(seed), "--out", str(path)]) == 0
+        return largest_wcc(parse_edge_list(path.read_text()).graph)[0]
+
+    # with P refused at every step, the solve runs on [X, W] alone, as after
+    # a failed Cholesky of the Gram of [X, W, P]
+    @pytest.mark.parametrize("drop_p", [False, True], ids=["with-p", "p-dropped"])
+    @pytest.mark.parametrize("seed, g", [(0, 1 / 5), (6, 1 / 5), (12, 1 / 4),
+                                         (16, 1 / 4), (18, 1 / 3)])
+    def test_level_model_graphs(self, tmp_path, monkeypatch, seed, g, drop_p):
+        graph = self.generated_level_graph(tmp_path, seed)
+        assert graph.n >= spectral._LOBPCG_MIN_NODES
+        refused = []
+        if drop_p:
+            ritz = spectral._rayleigh_ritz
+
+            def without_p(basis, image):
+                if basis.shape[1] > 2 * spectral._LOBPCG_BLOCK:
+                    refused.append(basis.shape[1])
+                    return None
+                return ritz(basis, image)
+
+            monkeypatch.setattr(spectral, "_rayleigh_ritz", without_p)
+        assert_certified_matches_full_dense(build_magnetic_laplacian(symmetrize(graph), g))
+        assert bool(refused) == drop_p
+
+    def test_deep_line(self):
+        graph = largest_wcc(block_cycle_graph(np.random.default_rng(79), 30, 20,
+                                              cyclic=False))[0]
+        assert graph.n >= spectral._LOBPCG_MIN_NODES
+        sym = symmetrize(graph)
+        for g in DEFAULT_G_CANDIDATES:
+            assert_certified_matches_full_dense(build_magnetic_laplacian(sym, g))
+
+    @pytest.mark.parametrize("g", [0.2, 1 / 3])
+    def test_stalled_solve_gives_up_early(self, g):
+        # two disjoint directed 250-cycles: the bottom eigenvalue is double
+        # and close to the next, and the residuals stall far above the bar
+        cycle = [(i, (i + 1) % 250) for i in range(250)]
+        graph = DirectedGraph(500, cycle + [(i + 250, j + 250) for i, j in cycle])
+        matrix = CountingMatrix(build_magnetic_laplacian(symmetrize(graph), g).matrix)
+        assert spectral._lobpcg_pair(matrix) is None
+        assert matrix.products <= 5 * spectral._LOBPCG_STALL
+
+    def test_rank_deficient_basis_refused(self):
+        rng = np.random.default_rng(83)
+        basis = rng.standard_normal((50, 4)) + 1j * rng.standard_normal((50, 4))
+        basis[:, 3] = basis[:, 0] + 1e-12 * basis[:, 1]
+        assert spectral._rayleigh_ritz(basis, basis) is None
+        assert spectral._rayleigh_ritz(basis[:, :3], basis[:, :3]) is not None
 
 
 # ---------------------------------------------------------------------------
