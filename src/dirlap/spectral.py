@@ -200,7 +200,7 @@ def _lobpcg_pair(matrix: csr_matrix) -> tuple[float, np.ndarray] | None:
     anchor, anchor_step = np.inf, 0
     for step in range(_LOBPCG_MAXITER):
         residual = ax - x * values
-        bottom = np.linalg.norm(residual[:, :2], axis=0).max()
+        bottom = np.sqrt(max(np.vdot(r, r).real for r in residual[:, :2].T))
         if bottom <= _LOBPCG_TOL * scale:
             break
         if bottom < 0.5 * anchor:
