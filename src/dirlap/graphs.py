@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, diags
 from scipy.sparse.csgraph import connected_components
 
 
@@ -43,7 +43,8 @@ class DirectedGraph:
 
     ``edges`` and ``weights`` are the same data as tuples, built on first
     use for callers that want Python objects; computation reads the
-    arrays.
+    arrays.  The ``reciprocated`` mask, weak connectivity and the
+    symmetrized view are likewise built once per graph, on first use.
     """
 
     def __init__(self, n: int, edges, weights=None, labels=None):
@@ -132,6 +133,11 @@ class DirectedGraph:
     def _weakly_connected(self) -> bool:
         return self.n <= 1 or connected_components(
             _edge_pattern(self), directed=True, connection="weak")[0] == 1
+
+    @functools.cached_property
+    def _symmetrized(self) -> SymmetrizedView:
+        """The weight-aware view that ``symmetrize`` and the level solve read."""
+        return _symmetrize(self)
 
     @property
     def is_weighted(self) -> bool:
@@ -522,21 +528,18 @@ class SymmetrizedView:
     def _laplacian_pattern(self) -> tuple[np.ndarray, ...]:
         """(indices, indptr, diagonal, entries): ``wsym``'s CSR pattern with
         a diagonal entry added in every row of nonzero degree, the slots of
-        those diagonal entries, and the slots of ``wsym``'s entries."""
-        n, cols, indptr = self.n, self.wsym.indices, self.wsym.indptr
-        rows = np.repeat(np.arange(n), np.diff(indptr))
-        has_diagonal = self.degrees != 0
-        through = np.cumsum(has_diagonal)   # diagonal entries up to each row
-        above = through - has_diagonal      # ... and in the rows above it
-        entries = np.arange(len(cols)) + above[rows] + (has_diagonal[rows] & (cols > rows))
-        diagonal_rows = np.flatnonzero(has_diagonal)
-        left = np.bincount(rows[cols < rows], minlength=n)[diagonal_rows]
-        diagonal = indptr[diagonal_rows] + above[diagonal_rows] + left
-        indices = np.empty(len(cols) + len(diagonal_rows), dtype=cols.dtype)
-        indices[entries] = cols
-        indices[diagonal] = diagonal_rows
-        pattern = (indices, np.append(0, indptr[1:] + through).astype(indptr.dtype),
-                   diagonal, entries)
+        those diagonal entries, and the slots of ``wsym``'s entries.
+
+        One sparse sum lays the pattern out: ``wsym``'s entries, marked
+        1, 2, ... in CSR order, minus 1 on those diagonal slots.  Both
+        terms have sorted indices and ``wsym`` no diagonal entry, so the
+        marks keep their order and the signs tell the two kinds apart.
+        """
+        marked = csr_matrix((np.arange(1.0, self.wsym.nnz + 1), self.wsym.indices,
+                             self.wsym.indptr), shape=self.wsym.shape)
+        summed = marked - diags((self.degrees != 0).astype(float))
+        pattern = (summed.indices, summed.indptr,
+                   np.flatnonzero(summed.data < 0), np.flatnonzero(summed.data > 0))
         for arr in pattern:
             arr.setflags(write=False)
         return pattern
@@ -549,12 +552,13 @@ def _freeze_csr(mat: csr_matrix) -> None:
 
 
 def symmetrize(graph: DirectedGraph) -> SymmetrizedView:
-    """Build the symmetrized view of an unweighted directed graph in O(n + m).
+    """The symmetrized view of an unweighted directed graph, built in
+    O(n + m) on first use and kept with the graph.
 
     Weighted graphs are rejected: only the level solve uses their view."""
     if graph.is_weighted:
         raise ValueError("symmetrize is defined for unweighted graphs only")
-    return _symmetrize(graph)
+    return graph._symmetrized
 
 
 def _paired_with_reverse(graph: DirectedGraph) -> csr_matrix:
@@ -600,7 +604,8 @@ def _symmetrize(graph: DirectedGraph) -> SymmetrizedView:
     rows = np.repeat(np.arange(n), np.diff(paired.indptr))
     return SymmetrizedView(
         wsym=csr_matrix((wsym, paired.indices, paired.indptr), shape=(n, n)),
-        degrees=np.bincount(rows, weights=wsym, minlength=n),
+        # float64 even with no edges, where bincount would give int64
+        degrees=np.bincount(rows, weights=wsym, minlength=n).astype(float, copy=False),
         alpha=csr_matrix((forward - backward, paired.indices, paired.indptr),
                          shape=(n, n)))
 

@@ -12,7 +12,7 @@ import numpy as np
 from .graphs import DirectedGraph, GraphStructureError
 from .models import _LevelModel, _PairModel, _PairSumModel
 from .spectral import (NumericalError, PhaseAssignment, TrophicAssignment,
-                       _magnetic_phases, _magnetic_view, _trophic_levels)
+                       magnetic_algorithm, trophic_algorithm)
 
 #: rotation parameters probed by default: up to six directed clusters
 DEFAULT_G_CANDIDATES = (1 / 2, 1 / 3, 1 / 4, 1 / 5, 1 / 6)
@@ -184,19 +184,19 @@ def select_g(graph: DirectedGraph, candidates: Sequence[float] = DEFAULT_G_CANDI
     decay rate is fitted by MLE; the candidate with the highest likelihood
     wins, ties breaking toward the larger rotation (fewer clusters).
     """
-    _, phases = _candidate_phases(graph, candidates)
+    phases = _candidate_phases(graph, candidates)
     return _select_g(graph, phases, gamma_min, gamma_max)[0]
 
 
-def _candidate_phases(graph: DirectedGraph, candidates: Sequence[float]):
-    """The graph's symmetrized view and the phases of each candidate."""
+def _candidate_phases(graph: DirectedGraph,
+                      candidates: Sequence[float]) -> list[PhaseAssignment]:
+    """The phases of each candidate rotation."""
     if not candidates:
         raise ValueError("need at least one candidate rotation")
     for g in candidates:
         if not 0.0 < g <= 0.5:
             raise ValueError(f"candidate g={g} outside (0, 1/2]")
-    sym = _magnetic_view(graph)
-    return sym, [_magnetic_phases(sym, g) for g in candidates]
+    return [magnetic_algorithm(graph, g) for g in candidates]
 
 
 def _select_g(graph: DirectedGraph, phases: Sequence[PhaseAssignment],
@@ -288,9 +288,8 @@ def compare_models(graph: DirectedGraph,
         raise GraphStructureError("graph has no nodes")
     if graph.is_weighted:
         raise ValueError("model comparison is defined for unweighted graphs")
-    sym, phases = _candidate_phases(graph, candidates)
-    levels = _trophic_levels(graph, sym)
-    del sym     # freed before the likelihood fits
+    phases = _candidate_phases(graph, candidates)
+    levels = trophic_algorithm(graph)
     selection, pair_model = _select_g(graph, phases, gamma_min, gamma_max)
     prdrg_fit = _model_fit("directed-pRDRG", pair_model, selection.gamma_fit,
                            graph.edge_count, selection.best.g, gamma_min, gamma_max)

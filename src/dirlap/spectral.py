@@ -18,8 +18,7 @@ from scipy.sparse import csr_matrix, diags
 from scipy.sparse.linalg import cg
 
 from .graphs import (DirectedGraph, GraphStructureError, SymmetrizedView,
-                     _freeze_csr, _symmetrize, csv_text, is_weakly_connected,
-                     symmetrize)
+                     _freeze_csr, csv_text, is_weakly_connected, symmetrize)
 
 TWO_PI = 2.0 * np.pi
 
@@ -280,24 +279,14 @@ def magnetic_algorithm(graph: DirectedGraph, g: float) -> PhaseAssignment:
     wrapped to [0, 2*pi) under the gauge theta[0] = 0.  Components with
     modulus below 1e-12 get angle 0 and trigger a DegeneracyWarning.  The
     reflection ambiguity (conjugating the eigenvector, i.e. reversing the
-    cycle orientation) is not resolved.
+    cycle orientation) is not resolved.  The graph keeps its symmetrized
+    view, so trying several g builds it once.
     """
-    return _magnetic_phases(_magnetic_view(graph), g)
-
-
-def _magnetic_view(graph: DirectedGraph) -> SymmetrizedView:
-    """The g-independent half of magnetic_algorithm, done once per graph
-    when several rotations are tried."""
     sym = symmetrize(graph)
     if not is_weakly_connected(graph):
         warnings.warn(
             "graph is not weakly connected; phases are only comparable "
-            "within a component", DegeneracyWarning, stacklevel=3)
-    return sym
-
-
-def _magnetic_phases(sym: SymmetrizedView, g: float) -> PhaseAssignment:
-    """Phase angles for rotation g from a graph's symmetrized view."""
+            "within a component", DegeneracyWarning, stacklevel=2)
     lap = build_magnetic_laplacian(sym, g)
     value, vec = smallest_eigenpair(lap)
     moduli = np.abs(vec)
@@ -307,7 +296,7 @@ def _magnetic_phases(sym: SymmetrizedView, g: float) -> PhaseAssignment:
         warnings.warn(
             f"{int(tiny.sum())} eigenvector component(s) have modulus below "
             f"{_TINY_COMPONENT:g}; their phase angles are set to 0",
-            DegeneracyWarning, stacklevel=3)
+            DegeneracyWarning, stacklevel=2)
     theta = np.mod(theta, TWO_PI)
     theta[theta >= TWO_PI] = 0.0
     return PhaseAssignment(theta=theta, g=float(g), smallest_eigenvalue=value)
@@ -336,22 +325,19 @@ def trophic_algorithm(graph: DirectedGraph) -> TrophicAssignment:
     The levels solve lam @ h = chi, where lam = diag(omega) - A - A^T with
     omega the total in+out weight per node, and chi is the in-minus-out
     imbalance: halved, diag(degrees) - wsym and -(row sums of alpha)/2 on
-    the symmetrized view.  lam is singular with the constants as kernel and
-    chi orthogonal to them, so conjugate gradients find a solution, shifted
-    so min(h) = 0.  Requires at least one edge and a weakly connected graph
-    (otherwise levels are not comparable across components).
+    the graph's symmetrized view, weights included.  lam is singular with
+    the constants as kernel and chi orthogonal to them, so conjugate
+    gradients find a solution, shifted so min(h) = 0.  Requires at least
+    one edge and a weakly connected graph (otherwise levels are not
+    comparable across components).
     """
-    return _trophic_levels(graph, _symmetrize(graph))
-
-
-def _trophic_levels(graph: DirectedGraph, sym: SymmetrizedView) -> TrophicAssignment:
-    """trophic_algorithm from a view of the graph already built."""
     if graph.edge_count == 0:
         raise GraphStructureError("graph has no edges; levels are undefined")
     if not is_weakly_connected(graph):
         raise GraphStructureError(
             "graph is not weakly connected; extract a connected component "
             "(e.g. largest_wcc) before computing levels")
+    sym = graph._symmetrized
     half_lam = sym.laplacian(sym.wsym.data)
     half_chi = -0.5 * np.ravel(sym.alpha.sum(axis=1))
     # every node of a connected graph has an edge, so degrees > 0

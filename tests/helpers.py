@@ -8,10 +8,20 @@ import numpy as np
 from scipy.sparse import csr_matrix, diags
 
 from dirlap import (DirectedGraph, EdgeListError, SymmetrizedView,
-                    TrophicParams, gen_trophic_levels, largest_wcc,
+                    TrophicParams, gen_trophic_levels, graphs, largest_wcc,
                     parse_edge_list, trophic_algorithm, trophic_sample)
 
 FOOD_WEB = Path(__file__).parent / "fixtures" / "food_web_scc.edges"
+
+
+def count_view_builds(monkeypatch) -> list[DirectedGraph]:
+    """The graphs ``graphs._symmetrize``, the one view builder, is called
+    on from now until the test ends."""
+    calls = []
+    build = graphs._symmetrize
+    monkeypatch.setattr(graphs, "_symmetrize",
+                        lambda graph: calls.append(graph) or build(graph))
+    return calls
 
 
 def adjacency(graph: DirectedGraph) -> np.ndarray:

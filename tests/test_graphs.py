@@ -1,11 +1,12 @@
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, diags
 
 from dirlap import (DirectedGraph, EdgeListError, GraphStructureError,
                     PRDRGParams, apply_ordering, gen_clustered_angles,
@@ -509,10 +510,19 @@ class TestSymmetrize:
         view = symmetrize(DirectedGraph(3, ()))
         assert not view.wsym.toarray().any() and not view.alpha.toarray().any()
         assert not view.degrees.any()
+        # float64 as on any other graph, so SciPy takes them without a cast
+        assert view.degrees.dtype == np.float64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            diags(view.degrees)
 
     def test_weighted_rejected(self):
         with pytest.raises(ValueError):
             symmetrize(DirectedGraph(2, ((0, 1),), weights=(0.5,)))
+
+    def test_view_cached_on_graph(self):
+        graph = DirectedGraph(3, ((0, 1), (1, 2)))
+        assert symmetrize(graph) is symmetrize(graph)
 
     def test_reconstructs_adjacency(self):
         # A_ij = wsym_ij + alpha_ij / 2 off the diagonal

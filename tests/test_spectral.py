@@ -1,6 +1,8 @@
+import gc
 import itertools
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -19,8 +21,8 @@ from dirlap import spectral
 from dirlap.cli import main
 from dirlap.graphs import _symmetrize
 from helpers import (block_cycle_graph, build_trophic_system,
-                     dense_trophic_levels, level_fixtures, random_graph,
-                     random_weakly_connected_graph,
+                     count_view_builds, dense_trophic_levels, level_fixtures,
+                     random_graph, random_weakly_connected_graph,
                      reference_magnetic_laplacian)
 
 TWO_PI = 2 * np.pi
@@ -212,6 +214,34 @@ class TestMagneticAlgorithm:
         graph = DirectedGraph(2, ((0, 1),), weights=(0.5,))
         with pytest.raises(ValueError):
             magnetic_algorithm(graph, 0.25)
+
+
+class TestSharedView:
+    """Both algorithms read the one symmetrized view the graph keeps."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        return count_view_builds(monkeypatch)
+
+    def test_magnetic_then_trophic_build_one_view(self, builds):
+        graph = three_cycle()
+        magnetic_algorithm(graph, 1 / 3)
+        trophic_algorithm(graph)
+        assert len(builds) == 1
+
+    def test_weighted_levels_build_one_view(self, builds):
+        graph = DirectedGraph(3, ((0, 1), (1, 2)), weights=(0.5, 0.25))
+        first, second = trophic_algorithm(graph), trophic_algorithm(graph)
+        np.testing.assert_array_equal(first.h, second.h)
+        assert len(builds) == 1
+
+    def test_view_released_with_graph(self):
+        graph = three_cycle()
+        magnetic_algorithm(graph, 1 / 3)
+        view = weakref.ref(symmetrize(graph))
+        del graph
+        gc.collect()
+        assert view() is None
 
 
 class TestTrophicSystem:
