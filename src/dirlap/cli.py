@@ -7,6 +7,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -18,8 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .graphs import (DirectedGraph, EdgeListError, GraphStructureError,
-                     apply_ordering, csv_text, largest_scc, largest_wcc,
-                     parse_edge_list, serialize_edge_list, serialize_ordering)
+                     apply_ordering, csv_fields, csv_text, largest_scc,
+                     largest_wcc, parse_edge_list, rank_fields,
+                     serialize_edge_list, serialize_ordering)
 from .inference import (GAMMA_MAX, GAMMA_MIN, ComparisonReport, ModelFit,
                         compare_models, fit_gamma_density, fit_gamma_mle,
                         likelihood_curve, select_g)
@@ -159,9 +161,13 @@ def _write(path: Path, content: str):
         handle.write(content)
 
 
+def _curve_columns(gammas, logliks) -> list[tuple]:
+    return [([GAMMA_FMT % g for g in gammas], None),
+            ([LOGLIK_FMT % v for v in logliks], None)]
+
+
 def _curve_csv(gammas, logliks) -> str:
-    return csv_text(["gamma", "loglik"], ((GAMMA_FMT % g, LOGLIK_FMT % v)
-                                          for g, v in zip(gammas, logliks)))
+    return csv_text(["gamma", "loglik"], _curve_columns(gammas, logliks))
 
 
 def _fit_lines(fit: ModelFit) -> list[str]:
@@ -218,7 +224,8 @@ def cmd_compare(args) -> int:
            _format_report(args, dataset, parsed.graph, parsed.self_loops_dropped,
                           used, sub, report))
     summary = csv_text(["dataset", "nodes", "edges", "g", "ln_ratio"],
-                       [(dataset, sub.n, sub.edge_count, best_g,
+                       [(csv_fields([field]), None) for field in
+                        (dataset, sub.n, sub.edge_count, best_g,
                          LOGLIK_FMT % report.log_ratio)])
     _write(out / "summary.csv", summary)
     _write(out / "phases.csv", assignment_to_csv(sub, report.phases.theta))
@@ -233,15 +240,17 @@ def cmd_compare(args) -> int:
 
 
 def _reordered_triples(graph: DirectedGraph, perm: np.ndarray) -> str:
-    rank = np.empty(graph.n, dtype=int)
-    rank[perm] = np.arange(graph.n)
-    rows, cols = rank[graph.edge_index[:, 0]], rank[graph.edge_index[:, 1]]
-    order = np.lexsort((cols, rows))
-    values = (graph.edge_weights[order] if graph.is_weighted
-              else np.ones(graph.edge_count))
+    ranks, rank = rank_fields(perm)
+    n = graph.n
+    # (row, col) pairs are distinct, so one key sort orders them by row, then col
+    keys = rank[graph.edge_index[:, 0]] * n + rank[graph.edge_index[:, 1]]
+    order = np.argsort(keys)
+    rows, cols = np.divmod(keys[order], n)
+    values, slot = np.unique(graph.edge_weights[order] if graph.is_weighted
+                             else np.ones(graph.edge_count), return_inverse=True)
     return csv_text(["row", "col", "value"],
-                    zip(rows[order].tolist(), cols[order].tolist(),
-                        (VALUE_FMT % v for v in values.tolist())))
+                    [(ranks, rows), (ranks, cols),
+                     ([VALUE_FMT % v for v in values.tolist()], slot)])
 
 
 def cmd_reorder(args) -> int:
@@ -377,10 +386,10 @@ def cmd_curve(args) -> int:
     mle_mark = int(np.argmin(np.abs(np.log(grid) - np.log(mle.gamma))))
     density_mark = (int(np.argmin(np.abs(np.log(grid) - np.log(density_gamma))))
                     if density_gamma is not None else None)
-    rows = ((GAMMA_FMT % x, LOGLIK_FMT % v, int(k == mle_mark),
-             int(k == density_mark)) for k, (x, v) in enumerate(zip(grid, values)))
-    _write(args.out,
-           csv_text(["gamma", "loglik", "is_mle", "is_density_match"], rows))
+    marks = [(["0", "1"], (np.arange(len(grid)) == mark).astype(np.int64))
+             for mark in (mle_mark, density_mark)]
+    _write(args.out, csv_text(["gamma", "loglik", "is_mle", "is_density_match"],
+                              _curve_columns(grid, values) + marks))
     return EXIT_OK
 
 
@@ -450,13 +459,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _one_line_degeneracy_warnings():
+    """Print each DegeneracyWarning as one line, ``DegeneracyWarning:
+    <message>``, like the CLI's other notices, with no source path or line.
+    Only the text changes: filters and recorders still see the warning."""
+    default = warnings.formatwarning
+
+    def format_warning(message, category, filename, lineno, line=None):
+        if issubclass(category, DegeneracyWarning):
+            return f"{category.__name__}: {message}\n"
+        return default(message, category, filename, lineno, line)
+
+    warnings.formatwarning = format_warning
+    try:
+        yield
+    finally:
+        warnings.formatwarning = default
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         if "gamma_min" in vars(args) and args.gamma_min >= args.gamma_max:
             parser.error("--gamma-min must be below --gamma-max")
-        with warnings.catch_warnings():
+        with warnings.catch_warnings(), _one_line_degeneracy_warnings():
             # show every degeneracy, not only the first one per source line
             # and process; appended, so a filter the caller set still wins
             warnings.simplefilter("always", DegeneracyWarning, append=True)

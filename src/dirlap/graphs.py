@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import itertools
 import operator
+import re
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix, diags
@@ -191,13 +190,9 @@ _CHUNK_LINES = 16384
 # characters of plain text split at a time, for the same reason
 _CHUNK_CHARS = 1 << 19
 
-# byte classes of plain text: 0 anything else, 1 a separator, 2 a line end,
-# 3 part of a label; '#' and '%' are left at 0, since they may start a comment
-_PLAIN_BYTES = np.zeros(256, dtype=np.uint8)
-_PLAIN_BYTES[0x21:0x7F] = 3
-_PLAIN_BYTES[[ord("#"), ord("%")]] = 0
-_PLAIN_BYTES[[ord(" "), ord("\t")]] = 1
-_PLAIN_BYTES[ord("\n")] = 2
+# the bytes of plain text: label bytes (printable ASCII other than '#' and
+# '%', which may start a comment), then the separators and the line end
+_PLAIN_BYTES = bytes(c for c in range(0x21, 0x7F) if chr(c) not in "#%") + b" \t\n"
 
 
 def parse_edge_list(text: str | Iterable[str], weighted: bool = False) -> ParseResult:
@@ -337,13 +332,15 @@ def _scan_plain(text: str):
         start = end
         if not chunk.isascii():
             return None
-        kind = _PLAIN_BYTES.take(np.frombuffer(chunk.encode("ascii"), np.uint8))
-        if not kind.all():
+        raw = chunk.encode("ascii")
+        if raw.translate(None, _PLAIN_BYTES):
             return None
-        label = kind == 3
-        first = label.copy()
-        first[1:] &= ~label[:-1]
-        tokens_per_line = np.bincount(np.cumsum(kind == 2)[first])
+        byte = np.frombuffer(raw, np.uint8)
+        # label bytes are the ones above the space; their runs are the
+        # tokens, so every other change of kind starts one
+        starts = np.flatnonzero(np.diff(byte > 0x20, prepend=False))[::2]
+        line_ends = np.append(np.flatnonzero(byte == 0x0A), len(byte))
+        tokens_per_line = np.diff(np.searchsorted(starts, line_ends), prepend=0)
         if not ((tokens_per_line == 0) | (tokens_per_line == 2)).all():
             return None
         id_parts.append(_label_ids(index, chunk.split()))
@@ -447,9 +444,12 @@ def _largest_component(graph: DirectedGraph,
     _, membership = connected_components(_edge_pattern(graph), directed=True,
                                          connection=connection)
     size = np.bincount(membership)[membership]
-    # tie: component whose smallest original node index is smallest
-    best = membership[np.argmax(size == size.max())]
-    sub, kept = _induced_subgraph(graph, np.flatnonzero(membership == best))
+    if size[0] == graph.n:
+        sub, kept = graph, tuple(range(graph.n))
+    else:
+        # tie: component whose smallest original node index is smallest
+        best = membership[np.argmax(size == size.max())]
+        sub, kept = _induced_subgraph(graph, np.flatnonzero(membership == best))
     sub.__dict__["_weakly_connected"] = True    # a component, by construction
     return sub, kept
 
@@ -571,9 +571,10 @@ def _paired_with_reverse(graph: DirectedGraph) -> csr_matrix:
     that edge is absent.
     """
     a = _edge_pattern(graph, graph.edge_weights)
-    paired = (a + 1j * a.T).tocsr()
-    paired.sort_indices()
-    return paired
+    # W's CSC arrays are W^T's CSR, with sorted indices; the sum of two
+    # matrices with sorted indices has them too
+    t = a.tocsc()
+    return a + csr_matrix((1j * t.data, t.indices, t.indptr), shape=a.shape)
 
 
 def _reciprocated_mask(paired: csr_matrix) -> np.ndarray:
@@ -618,19 +619,63 @@ def apply_ordering(graph: DirectedGraph, score) -> np.ndarray:
     return np.argsort(score, kind="stable")
 
 
-def csv_text(header, rows) -> str:
-    """CSV text with minimal quoting and ``\n`` line ends."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return out.getvalue()
+# characters that make a CSV field need quotes: the delimiter, the quote
+# character and the line breaks
+_CSV_SPECIAL = re.compile('[,"\r\n]')
+
+
+def csv_fields(texts: Iterable) -> list[str]:
+    """Each text, as ``str``, written as one CSV field under minimal quoting.
+
+    A field holding a comma, a double quote, ``\n`` or ``\r`` is wrapped in
+    double quotes, each of its double quotes doubled; any other is kept as
+    it is.  That is ``csv.writer``'s rule with ``\n`` line ends, except that
+    a bare ``\r`` is quoted too, so ``csv.reader`` reads the field back
+    whole.
+    """
+    return ['"' + text.replace('"', '""') + '"' if _CSV_SPECIAL.search(text) else text
+            for text in map(str, texts)]
+
+
+def csv_labels(graph: DirectedGraph) -> list[str]:
+    """The node labels as CSV fields, in node order."""
+    return csv_fields(graph.labels if graph.labels is not None else range(graph.n))
+
+
+def csv_text(header: Sequence[str], columns: Sequence[tuple]) -> str:
+    """CSV text with ``\n`` line ends, written a column at a time.
+
+    Each column is a pair (fields, index).  With ``index`` None, ``fields``
+    holds one field per row; otherwise it holds the column's distinct
+    fields, each written once, and the integer array ``index`` picks one
+    per row.  Fields are strings already in CSV form (see
+    :func:`csv_fields`); the header is quoted here.  Each field gets its
+    separator once, the rows are laid out as references in one object
+    array and one join writes them, so no string is built per row.  A row
+    of one empty field, which ``csv.writer`` writes as ``""``, is not
+    special here: every file written has two columns or more.
+    """
+    cells = None
+    for k, (fields, index) in enumerate(columns):
+        end = "\n" if k == len(columns) - 1 else ","
+        fields = np.array([field + end for field in fields], dtype=object)
+        if index is not None:
+            fields = fields[index]
+        if cells is None:
+            cells = np.empty((len(fields), len(columns)), dtype=object)
+        cells[:, k] = fields
+    return ",".join(csv_fields(header)) + "\n" + "".join(cells.ravel().tolist())
+
+
+def rank_fields(perm: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """(fields, rank): the rank strings 0..n-1 and each node's rank under
+    ``perm``, the permutation that lists the nodes in rank order."""
+    rank = np.empty(len(perm), dtype=np.int64)
+    rank[perm] = np.arange(len(perm))
+    return list(map(str, range(len(perm)))), rank
 
 
 def serialize_ordering(graph: DirectedGraph, perm: np.ndarray) -> str:
     """CSV mapping each original label to its rank under ``perm``."""
-    perm = np.asarray(perm)
-    rank = np.empty(graph.n, dtype=int)
-    rank[perm] = np.arange(graph.n)
     return csv_text(["original_label", "rank"],
-                    ((graph.label(i), int(rank[i])) for i in range(graph.n)))
+                    [(csv_labels(graph), None), rank_fields(np.asarray(perm))])

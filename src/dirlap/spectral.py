@@ -18,7 +18,8 @@ from scipy.sparse import csr_matrix, diags
 from scipy.sparse.linalg import cg
 
 from .graphs import (DirectedGraph, GraphStructureError, SymmetrizedView,
-                     _freeze_csr, csv_text, is_weakly_connected, symmetrize)
+                     _freeze_csr, csv_labels, csv_text, is_weakly_connected,
+                     symmetrize)
 
 TWO_PI = 2.0 * np.pi
 
@@ -29,9 +30,9 @@ _EIGENVALUE_GAP = 1e-10
 # matrix; below it a dense solve for the two lowest pairs (README, "Bottom
 # eigenpair").  Tolerances are relative to the Gershgorin bound on the
 # spectral radius, twice the largest degree.
-_LOBPCG_MIN_NODES = 400
+_LOBPCG_MIN_NODES = 250
 _LOBPCG_BLOCK = 3           # Ritz pairs carried: the bottom pair and one helper
-_LOBPCG_TOL = 1e-14         # residual norm asked of the bottom pair
+_LOBPCG_TOL = 1e-14         # residual norm asked of the bottom vector
 _LOBPCG_ACCEPT = 1e-11      # largest residual norm accepted without the dense path
 _LOBPCG_TIE_MARGIN = 1e-6   # closer Ritz values may be a tie: the dense path decides
 _LOBPCG_MAXITER = 500
@@ -151,7 +152,7 @@ def smallest_eigenpair(lap: MagneticLaplacian) -> tuple[float, np.ndarray]:
     smallest eigenvalue is tied within 1e-10 the last eigenvector of the
     tied group is returned and a DegeneracyWarning is emitted.
 
-    Only the bottom of the spectrum is computed: by LOBPCG from 400 nodes
+    Only the bottom of the spectrum is computed: by LOBPCG from 250 nodes
     on, otherwise (and whenever LOBPCG does not certify its answer) by a
     dense solve for the two lowest pairs, widened to the full spectrum
     only when those two are tied.
@@ -164,6 +165,8 @@ def smallest_eigenpair(lap: MagneticLaplacian) -> tuple[float, np.ndarray]:
     if abs(vec[0]) < _TINY_COMPONENT:
         anchor = int(np.argmax(np.abs(vec) >= _TINY_COMPONENT))
     vec = vec * (np.conj(vec[anchor]) / abs(vec[anchor]))
+    # the rotation leaves rounding in the anchor's imaginary part
+    vec[anchor] = abs(vec[anchor])
     return value, vec
 
 
@@ -176,8 +179,10 @@ def _lobpcg_pair(matrix: csr_matrix) -> tuple[float, np.ndarray] | None:
     preconditioned residuals W alone; A X and A P are carried along.  The
     Cholesky factor of the Gram of [X, W, P] orthonormalizes [W, P]
     against X, and P is dropped for a step when that factor fails.  The
-    run stops once the bottom two residuals meet the tolerance, or once the
-    larger of them has not halved within _LOBPCG_STALL steps; the check
+    run stops once the bottom residual meets _LOBPCG_TOL and the second,
+    which only certifies that the bottom is simple, a tenth of
+    _LOBPCG_ACCEPT; or once the larger of the two, each as a multiple of
+    its own target, has not halved within _LOBPCG_STALL steps.  The check
     below then accepts or refuses what it has.
     """
     diagonal = matrix.diagonal().real
@@ -196,14 +201,17 @@ def _lobpcg_pair(matrix: csr_matrix) -> tuple[float, np.ndarray] | None:
     values, coefficients = ritz
     x, ax = x @ coefficients, ax @ coefficients
     p = ap = None
+    targets = (_LOBPCG_TOL * scale) ** 2, (0.1 * _LOBPCG_ACCEPT * scale) ** 2
     anchor, anchor_step = np.inf, 0
     for step in range(_LOBPCG_MAXITER):
         residual = ax - x * values
-        bottom = np.sqrt(max(np.vdot(r, r).real for r in residual[:, :2].T))
-        if bottom <= _LOBPCG_TOL * scale:
+        # squared residual norms over their squared targets
+        excess = max(np.vdot(r, r).real / target
+                     for r, target in zip(residual[:, :2].T, targets))
+        if excess <= 1.0:
             break
-        if bottom < 0.5 * anchor:
-            anchor, anchor_step = bottom, step
+        if excess < 0.25 * anchor:
+            anchor, anchor_step = excess, step
         elif step - anchor_step >= _LOBPCG_STALL:
             break
         w = jacobi * residual
@@ -360,5 +368,5 @@ def assignment_to_csv(graph: DirectedGraph, values, fmt: str = "%.12g") -> str:
     values = np.asarray(values, dtype=float)
     if values.shape != (graph.n,):
         raise ValueError(f"expected {graph.n} values, got {values.size}")
-    return csv_text(["label", "value"],
-                    ((graph.label(i), fmt % values[i]) for i in range(graph.n)))
+    return csv_text(["label", "value"], [(csv_labels(graph), None),
+                                         ([fmt % v for v in values.tolist()], None)])

@@ -1,5 +1,6 @@
 import csv
 import functools
+import io
 import math
 import os
 import subprocess
@@ -9,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dirlap import parse_edge_list
+from dirlap import DirectedGraph, parse_edge_list
 from dirlap.cli import main
+from helpers import random_graph
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -333,8 +335,51 @@ class TestDegeneracyWarnings:
             assert ("DegeneracyWarning: smallest eigenvalue has multiplicity 2"
                     in text)
 
+    def test_warning_is_one_line_without_source(self, tmp_path):
+        edges = tmp_path / "odd.edges"
+        edges.write_text(TestCsvLabels.ODD, encoding="utf-8")
+        env = {key: value for key, value in os.environ.items()
+               if key != "PYTHONWARNINGS"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + ([env["PYTHONPATH"]] if "PYTHONPATH" in env else []))
+        result = subprocess.run(
+            [sys.executable, "-m", "dirlap.cli", "compare", "--input", str(edges),
+             "--out-dir", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, check=True)
+        lines = result.stderr.splitlines()
+        # g = 1/2 and g = 1/6 give a double bottom eigenvalue
+        assert lines == ["DegeneracyWarning: smallest eigenvalue has multiplicity 2 "
+                         "(gap < 1e-10); phase angles are not uniquely determined"] * 2
+        assert ".py" not in result.stderr
+        assert "smallest_eigenpair(" not in result.stderr
+
 
 class TestReorderCommand:
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_reordered_triples_match_csv_writer(self, weighted):
+        # the columnar writer against rows sorted by (row, col) and written
+        # by csv.writer, on a graph whose weights repeat
+        from dirlap.cli import VALUE_FMT, _reordered_triples
+        rng = np.random.default_rng(29)
+        graph = random_graph(rng, 60, 0.2)
+        if weighted:
+            graph = DirectedGraph(graph.n, graph.edge_index,
+                                  weights=rng.choice([0.25, 0.5, 1 / 3, 0.7],
+                                                     graph.edge_count))
+        perm = rng.permutation(graph.n)
+        rank = np.empty(graph.n, dtype=int)
+        rank[perm] = np.arange(graph.n)
+        rows, cols = rank[graph.edge_index[:, 0]], rank[graph.edge_index[:, 1]]
+        order = np.lexsort((cols, rows))
+        values = (graph.edge_weights[order] if weighted
+                  else np.ones(graph.edge_count))
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["row", "col", "value"])
+        writer.writerows(zip(rows[order].tolist(), cols[order].tolist(),
+                             (VALUE_FMT % v for v in values.tolist())))
+        assert _reordered_triples(graph, perm) == expected.getvalue()
+
     def test_trophic_single_edge(self, tmp_path):
         graph_file = tmp_path / "edge.edges"
         graph_file.write_text("a b\n")

@@ -1,3 +1,5 @@
+import csv
+import io
 import tracemalloc
 import warnings
 from unittest import mock
@@ -242,6 +244,23 @@ class TestPlainTextParse:
             assert_parsers_agree(text, False)
         assert spy.called
 
+    # the first chunk is the first line: a bad line on either side of the
+    # chunk boundary, a last line of one token with no line end, a carriage
+    # return and a comment mark
+    @pytest.mark.parametrize("first, second", [
+        ("c\n", "a b\n"), ("c d e\n", "a b\n"), ("a b\n", "c\n"),
+        ("a b\n", "c d e\n"), ("a b\n", "c"), ("a b\n", "c d\r\n"),
+        ("a b\n", "c #d\n"),
+    ])
+    @pytest.mark.parametrize("boundary", [True, False], ids=["boundary", "one-chunk"])
+    def test_refused_next_to_a_chunk_boundary(self, first, second, boundary):
+        chunk = len(first) if boundary else graphs._CHUNK_CHARS
+        with mock.patch.object(graphs, "_CHUNK_CHARS", chunk):
+            assert graphs._scan_plain(first + second) is None
+            with line_scan_spy() as spy:
+                assert_parsers_agree(first + second, False)
+        assert spy.called
+
     @pytest.mark.parametrize("source, weighted", [
         ("a b 0.5\n", True), (["a b\n", "c d\n"], False)])
     def test_weighted_text_and_line_lists_take_the_line_scan(self, source, weighted):
@@ -458,6 +477,14 @@ class TestComponents:
         sub, _ = largest_scc(graph)
         assert sub.weights == (0.3, 0.4)
 
+    @pytest.mark.parametrize("largest", [largest_scc, largest_wcc])
+    def test_whole_graph_returned_as_it_is(self, largest):
+        graph = parse_edge_list("a b\nb c\nc a\n").graph
+        sub, index_map = largest(graph)
+        assert sub is graph
+        assert index_map == (0, 1, 2)
+        assert graphs.is_weakly_connected(sub)
+
 
 def symmetrize_cases(rng: np.random.Generator):
     """Graphs with reciprocated pairs, one-way edges and isolated nodes, and
@@ -493,6 +520,18 @@ class TestSymmetrize:
             # a mask already cached is kept
             graphs._symmetrize(graph)
             assert graph.reciprocated is cached
+
+    def test_paired_with_reverse_is_the_sparse_sum(self):
+        # C = W + 1j W^T from W's CSC arrays, against the sum it replaced
+        for graph in symmetrize_cases(np.random.default_rng(23)):
+            w = graphs._edge_pattern(graph, graph.edge_weights)
+            reference = (w + 1j * w.T).tocsr()
+            reference.sort_indices()
+            paired = graphs._paired_with_reverse(graph)
+            assert paired.has_sorted_indices
+            for part in ("data", "indices", "indptr"):
+                ours, ref = getattr(paired, part), getattr(reference, part)
+                assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes()
 
     def test_single_edge(self):
         view = symmetrize(DirectedGraph(2, ((0, 1),)))
@@ -578,6 +617,65 @@ class TestOrdering:
         graph = parse_edge_list("a b\nb c\n").graph
         csv = serialize_ordering(graph, np.array([2, 0, 1]))
         assert csv == "original_label,rank\na,1\nb,2\nc,0\n"
+
+
+def csv_writer_text(header, rows) -> str:
+    """Python's csv.writer with ``\n`` line ends: the reference writer."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+# CSV fields with commas, double quotes, line feeds, blanks and non-ASCII
+# text; no bare carriage return, which csv.writer leaves unquoted with
+# "\n" line ends and csv_fields quotes
+csv_field_texts = st.text(st.sampled_from(list('ab1,"\n \t-é€☃🙂')) | st.characters(
+    blacklist_characters="\r", blacklist_categories=("Cs",)), max_size=8)
+
+
+class TestCsvWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(csv_field_texts, min_size=1, max_size=12), st.randoms())
+    def test_label_files_match_csv_writer(self, labels, random):
+        from dirlap.spectral import assignment_to_csv
+        n = len(labels)
+        graph = DirectedGraph(n, (), labels=labels)
+        perm = np.array(random.sample(range(n), n))
+        rank = np.empty(n, dtype=int)
+        rank[perm] = np.arange(n)
+        assert serialize_ordering(graph, perm) == csv_writer_text(
+            ["original_label", "rank"], zip(labels, rank.tolist()))
+        values = np.array([random.uniform(-10.0, 10.0) for _ in range(n)])
+        assert assignment_to_csv(graph, values) == csv_writer_text(
+            ["label", "value"], ((label, "%.12g" % v) for label, v in zip(labels, values)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(csv_field_texts, st.lists(csv_field_texts, min_size=1, max_size=5))
+    def test_summary_row_matches_csv_writer(self, dataset, fields):
+        # a dataset name with odd characters, as in summary.csv
+        row = [dataset, "12", "28"] + fields
+        header = [f"h{k}" for k in range(len(row))]
+        columns = [(graphs.csv_fields([field]), None) for field in row]
+        assert graphs.csv_text(header, columns) == csv_writer_text(header, [row])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(csv_field_texts, min_size=1, max_size=6), st.randoms())
+    def test_gathered_columns_match_csv_writer(self, fields, random):
+        rows = random.randint(0, 20)
+        picks = [[random.randrange(len(fields)) for _ in range(rows)] for _ in range(2)]
+        columns = [(graphs.csv_fields(fields), np.array(pick, dtype=np.int64))
+                   for pick in picks]
+        expected = [[fields[i], fields[j]] for i, j in zip(*picks)]
+        assert graphs.csv_text(["a", "b"], columns) == csv_writer_text(["a", "b"], expected)
+
+    def test_carriage_return_is_quoted_and_reads_back(self):
+        graph = DirectedGraph(2, ((0, 1),), labels=("a\rb", "c"))
+        text = serialize_ordering(graph, np.array([1, 0]))
+        assert text == 'original_label,rank\n"a\rb",1\nc,0\n'
+        assert list(csv.reader(io.StringIO(text, newline=""))) == [
+            ["original_label", "rank"], ["a\rb", "1"], ["c", "0"]]
 
 
 class TestRoundTrip:

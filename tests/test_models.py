@@ -9,13 +9,13 @@ import pytest
 from scipy.integrate import quad
 
 from dirlap import (DirectedGraph, KernelModel, NumericalError, PRDRGParams,
-                    TrophicParams, frustration, gen_clustered_angles,
-                    gen_trophic_levels, kernel_loglik, magnetic_algorithm,
-                    parse_edge_list, prdrg_expected_edges, prdrg_loglik,
-                    prdrg_pair_probs, prdrg_sample, symmetrize,
-                    trophic_algorithm, trophic_edge_prob,
-                    trophic_expected_edges, trophic_loglik, trophic_sample,
-                    weighted_trophic_logdensity)
+                    TrophicParams, build_magnetic_laplacian, frustration,
+                    gen_clustered_angles, gen_trophic_levels, kernel_loglik,
+                    magnetic_algorithm, parse_edge_list, prdrg_expected_edges,
+                    prdrg_loglik, prdrg_pair_probs, prdrg_sample,
+                    quadratic_form, symmetrize, trophic_algorithm,
+                    trophic_edge_prob, trophic_expected_edges,
+                    trophic_loglik, trophic_sample, weighted_trophic_logdensity)
 from dirlap.models import (_chebyshev_points, _level_rows, _LevelPairSums,
                            _observed_excess,
                            make_prdrg_expected_edges, make_prdrg_loglik,
@@ -171,6 +171,19 @@ class TestPrdrgLoglik:
             two_cosines = np.where(graph.reciprocated, np.cos(beta),
                                    np.cos(beta + TWO_PI * g))
             assert _observed_excess(graph, theta, g) == float(np.sum(two_cosines - 1.0))
+
+    def test_observed_excess_is_minus_the_magnetic_quadratic_form(self):
+        # the likelihood's edge term is -psi^H L psi = -frustration / 2 for
+        # psi = exp(i theta), the quantity the magnetic algorithm minimizes
+        rng = np.random.default_rng(14)
+        graph = random_graph(rng, 40, 0.2)
+        assert graph.reciprocated.any() and not graph.reciprocated.all()
+        theta = rng.uniform(0, TWO_PI, graph.n)
+        sym = symmetrize(graph)
+        for g in (0.0, 0.2, 1 / 3, 0.37, 0.5):
+            form = quadratic_form(build_magnetic_laplacian(sym, g), np.exp(1j * theta))
+            assert _observed_excess(graph, theta, g) == pytest.approx(-form, rel=1e-12)
+            assert form == pytest.approx(frustration(sym, theta, g) / 2, rel=1e-12)
 
 
 def assert_pair_sums_match_oracle(graph, theta, g, gammas=ORACLE_GAMMAS):

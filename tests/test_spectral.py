@@ -530,6 +530,19 @@ class TestBottomEigenpairOracle:
         assert abs(value - spectrum[0]) <= 1e-12 * spectral_scale(lap)
         assert np.linalg.norm(vec - gauge_fixed(vectors[:, 0])) <= 1e-10
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_gauge_node_angle_is_exactly_zero_on_lobpcg(self, seed):
+        # the rotation that fixes the gauge leaves rounding of ~1e-17 in the
+        # anchor's imaginary part of a LOBPCG vector
+        rng = np.random.default_rng(seed)
+        graph = random_weakly_connected_graph(rng, 250 + 10 * seed, extra_p=4.0 / 250)
+        for g in (0.2, 1 / 3):
+            lap = build_magnetic_laplacian(symmetrize(graph), g)
+            assert spectral._lobpcg_pair(lap.matrix) is not None
+            _, vec = smallest_eigenpair(lap)
+            assert vec[0].imag == 0.0 and vec[0].real > 0.0
+            assert magnetic_algorithm(graph, g).theta[0] == 0.0
+
     def test_same_phases_whatever_the_candidate_order(self):
         graph = LARGE_GRAPHS["blocks-5x100"]()
         first = [magnetic_algorithm(graph, g).theta for g in DEFAULT_G_CANDIDATES]
@@ -605,8 +618,51 @@ class CountingMatrix:
         return self.matrix @ block
 
 
+class RecordingMatrix(CountingMatrix):
+    """A counting matrix that keeps its last product and that product's input."""
+
+    def __matmul__(self, block):
+        self.last = block, super().__matmul__(block)
+        return self.last[1]
+
+
+# graphs between the LOBPCG cutoff and the former one, 400 nodes
+MIDSIZE_GRAPHS = {
+    "pair-5x50": lambda: planted_pair_graph(5, 50, 4),
+    "blocks-5x70": lambda: sparse_block_graph(5, 70, 5),
+    "random-380": lambda: random_weakly_connected_graph(
+        np.random.default_rng(89), 380, extra_p=4.0 / 380),
+}
+
+
 class TestBlockLobpcg:
     """Harder inputs for the block solver, against the full dense spectrum."""
+
+    @pytest.mark.parametrize("name", sorted(MIDSIZE_GRAPHS))
+    def test_graphs_above_the_cutoff(self, name):
+        graph = MIDSIZE_GRAPHS[name]()
+        assert spectral._LOBPCG_MIN_NODES <= graph.n < 400
+        sym = symmetrize(graph)
+        for g in DEFAULT_G_CANDIDATES:
+            assert_certified_matches_full_dense(build_magnetic_laplacian(sym, g))
+
+    @pytest.mark.parametrize("name", sorted(MIDSIZE_GRAPHS) + sorted(LARGE_GRAPHS))
+    def test_accepted_solves_meet_the_residual_bar(self, name):
+        # the stop asks the second residual for a tenth of the bar only; the
+        # last product is the check's, of the two normalized bottom vectors
+        graph = {**MIDSIZE_GRAPHS, **LARGE_GRAPHS}[name]()
+        sym = symmetrize(graph)
+        for g in DEFAULT_G_CANDIDATES:
+            lap = build_magnetic_laplacian(sym, g)
+            matrix = RecordingMatrix(lap.matrix)
+            certified = spectral._lobpcg_pair(matrix)
+            assert certified is not None
+            vectors, image = matrix.last
+            assert vectors.shape == (graph.n, 2)
+            np.testing.assert_array_equal(vectors[:, 0], certified[1])
+            values = np.einsum("ij,ij->j", vectors.conj(), image).real
+            residuals = np.linalg.norm(image - vectors * values, axis=0)
+            assert residuals.max() <= spectral._LOBPCG_ACCEPT * spectral_scale(lap)
 
     @staticmethod
     def generated_level_graph(folder, seed):
