@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import functools
 import io
 import math
 import sys
@@ -19,18 +18,16 @@ from pathlib import Path
 import numpy as np
 
 from .graphs import (DirectedGraph, EdgeListError, GraphStructureError,
-                     apply_ordering, csv_fields, csv_text, largest_scc,
-                     largest_wcc, parse_edge_list, rank_fields,
+                     apply_ordering, csv_fields, csv_labels, csv_text,
+                     largest_scc, largest_wcc, parse_edge_list, rank_fields,
                      serialize_edge_list, serialize_ordering)
 from .inference import (GAMMA_MAX, GAMMA_MIN, ComparisonReport, ModelFit,
-                        compare_models, fit_gamma_density, fit_gamma_mle,
-                        likelihood_curve, select_g)
+                        _model_fit, compare_models, select_g)
 from .models import (PRDRGParams, TrophicParams, _LevelModel, _PairModel,
-                     gen_clustered_angles, gen_trophic_levels,
-                     make_weighted_trophic_logdensity, prdrg_sample,
-                     trophic_sample)
-from .spectral import (DegeneracyWarning, NumericalError, assignment_to_csv,
-                       magnetic_algorithm, trophic_algorithm)
+                     _WeightedLevelModel, gen_clustered_angles,
+                     gen_trophic_levels, prdrg_sample, trophic_sample)
+from .spectral import (DegeneracyWarning, NumericalError, magnetic_algorithm,
+                       trophic_algorithm)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -52,6 +49,10 @@ ATTRIBUTE_LIMITS = {
 LOGLIK_FMT = "%.5e"   # 6 significant digits for likelihood-scale values
 GAMMA_FMT = "%.6g"
 VALUE_FMT = "%.12g"
+
+# The most rates ``curve --grid-points`` tabulates: each costs a likelihood
+# probe, and the table is allocated before the first one.
+MAX_GRID_POINTS = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,8 +91,9 @@ def _rotation_list(text: str) -> tuple[tuple[str, float], ...]:
     return candidates
 
 
-def _number(convert, zero_allowed: bool):
-    """argparse type: a finite number, > 0 or (zero_allowed) >= 0."""
+def _number(convert, zero_allowed: bool, limit: float = math.inf):
+    """argparse type: a finite number, > 0 or (zero_allowed) >= 0, and at
+    most ``limit``."""
     bound = ">= 0" if zero_allowed else "> 0"
 
     def parse(token: str):
@@ -101,6 +103,8 @@ def _number(convert, zero_allowed: bool):
             raise argparse.ArgumentTypeError(f"bad number {token!r}") from None
         if not (math.isfinite(value) and (value >= 0 if zero_allowed else value > 0)):
             raise argparse.ArgumentTypeError(f"{token} is not a finite number {bound}")
+        if value > limit:
+            raise argparse.ArgumentTypeError(f"{token} exceeds the limit of {limit}")
         return value
 
     return parse
@@ -156,9 +160,22 @@ def _require_analyzable(sub: DirectedGraph):
 
 
 def _write(path: Path, content: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(content)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(content)
+    except OSError as exc:
+        raise _StageError("write", str(exc), EXIT_INPUT) from exc
+
+
+def assignment_to_csv(graph: DirectedGraph, values) -> str:
+    """Per-node values as ``label,value`` CSV rows, labels quoted only
+    where CSV needs it (see graphs.csv_fields)."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (graph.n,):
+        raise ValueError(f"expected {graph.n} values, got {values.size}")
+    return csv_text(["label", "value"], [(csv_labels(graph), None),
+                                         ([VALUE_FMT % v for v in values.tolist()], None)])
 
 
 def _curve_columns(gammas, logliks) -> list[tuple]:
@@ -361,35 +378,27 @@ def cmd_curve(args) -> int:
                           EXIT_INPUT)
     graph = _load_graph(args.input, args.weighted).graph
     attributes = _read_attributes(args.attributes, graph, args.model)
-    model = None    # the weight density of a weighted graph has no edge count
     if args.model == "prdrg":
         if graph.is_weighted:
             raise _StageError("input", "the prdrg curve requires an unweighted "
                               "edge list", EXIT_INPUT)
         model = _PairModel(attributes, args.g, graph)
-    elif not graph.is_weighted:
+    elif graph.is_weighted:
+        model = _WeightedLevelModel(attributes, graph)
+    else:
         model = _LevelModel(attributes, graph)
-    loglik = model.loglik if model else make_weighted_trophic_logdensity(graph, attributes)
-    grid, values = likelihood_curve(loglik, args.gamma_min, args.gamma_max,
-                                    args.grid_points)
-    mle = fit_gamma_mle(functools.partial(loglik, derivatives=True),
-                        args.gamma_min, args.gamma_max)
-    density_gamma = None
-    if model is not None:
-        try:
-            density_gamma = fit_gamma_density(
-                functools.partial(model.expected_edges, derivatives=True),
-                graph.edge_count, gamma_max=args.gamma_max)
-        except ValueError as exc:
-            print(f"notice: no density-matching estimate: {exc}",
-                  file=sys.stderr)
-    mle_mark = int(np.argmin(np.abs(np.log(grid) - np.log(mle.gamma))))
-    density_mark = (int(np.argmin(np.abs(np.log(grid) - np.log(density_gamma))))
-                    if density_gamma is not None else None)
-    marks = [(["0", "1"], (np.arange(len(grid)) == mark).astype(np.int64))
-             for mark in (mle_mark, density_mark)]
+    fit = _model_fit(
+        model, graph.edge_count, args.gamma_min, args.gamma_max, args.grid_points,
+        notice=lambda exc: print(f"notice: no density-matching estimate: {exc}",
+                                 file=sys.stderr))
+    grid = fit.curve_gamma
+    # the row nearest, in log gamma, to each estimate; none without one
+    marks = [None if gamma is None else int(np.argmin(np.abs(np.log(grid) - np.log(gamma))))
+             for gamma in (fit.gamma_mle, fit.gamma_density)]
+    flags = [(["0", "1"], (np.arange(len(grid)) == mark).astype(np.int64))
+             for mark in marks]
     _write(args.out, csv_text(["gamma", "loglik", "is_mle", "is_density_match"],
-                              _curve_columns(grid, values) + marks))
+                              _curve_columns(grid, fit.curve_loglik) + flags))
     return EXIT_OK
 
 
@@ -452,7 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="label,value CSV of node angles or levels")
     curve.add_argument("--g", type=_rotation, default=None,
                        help="rotation parameter (prdrg)")
-    curve.add_argument("--grid-points", type=_number(int, False), default=64)
+    curve.add_argument("--grid-points", type=_number(int, False, MAX_GRID_POINTS),
+                       default=64, help=f"rates tabulated, at most {MAX_GRID_POINTS}")
     curve.add_argument("--out", type=Path, required=True)
     curve.set_defaults(func=cmd_curve)
 
@@ -497,6 +507,9 @@ def main(argv=None) -> int:
         print(f"error [analyze]: {exc}", file=sys.stderr)
         return (EXIT_DEGENERATE if isinstance(exc, GraphStructureError)
                 else EXIT_NUMERICAL)
+    except MemoryError as exc:
+        print(f"error [memory]: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
 

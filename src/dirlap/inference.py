@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .graphs import DirectedGraph, GraphStructureError
-from .models import _LevelModel, _PairModel, _PairSumModel
+from .models import _LevelModel, _PairModel
 from .spectral import (NumericalError, PhaseAssignment, TrophicAssignment,
                        magnetic_algorithm, trophic_algorithm)
 
@@ -184,24 +184,18 @@ def select_g(graph: DirectedGraph, candidates: Sequence[float] = DEFAULT_G_CANDI
     decay rate is fitted by MLE; the candidate with the highest likelihood
     wins, ties breaking toward the larger rotation (fewer clusters).
     """
-    phases = _candidate_phases(graph, candidates)
-    return _select_g(graph, phases, gamma_min, gamma_max)[0]
+    return _select_g(graph, candidates, gamma_min, gamma_max)[0]
 
 
-def _candidate_phases(graph: DirectedGraph,
-                      candidates: Sequence[float]) -> list[PhaseAssignment]:
-    """The phases of each candidate rotation."""
+def _select_g(graph: DirectedGraph, candidates: Sequence[float],
+              gamma_min: float, gamma_max: float) -> tuple[SelectGResult, _PairModel]:
+    """The selection and the winning candidate's pair model."""
     if not candidates:
         raise ValueError("need at least one candidate rotation")
     for g in candidates:
         if not 0.0 < g <= 0.5:
             raise ValueError(f"candidate g={g} outside (0, 1/2]")
-    return [magnetic_algorithm(graph, g) for g in candidates]
-
-
-def _select_g(graph: DirectedGraph, phases: Sequence[PhaseAssignment],
-              gamma_min: float, gamma_max: float) -> tuple[SelectGResult, _PairModel]:
-    """The selection and the winning candidate's pair model."""
+    phases = [magnetic_algorithm(graph, g) for g in candidates]
     models = [_PairModel(p.theta, p.g, graph) for p in phases]
     gamma_fits = [fit_gamma_mle(functools.partial(m.loglik, derivatives=True),
                                 gamma_min, gamma_max) for m in models]
@@ -218,7 +212,8 @@ class ModelFit:
     ``gamma_density`` is the density-matching point estimate when one
     exists (None otherwise); ``g`` is the winning rotation for the pair
     model and None for the level model.  ``curve_gamma``/``curve_loglik``
-    hold the likelihood on the 32-point logarithmic grid of the gamma range.
+    hold the likelihood on a logarithmic grid of the gamma range, 32
+    points in a comparison.
     """
 
     model: str
@@ -255,24 +250,29 @@ class ComparisonReport:
     levels: TrophicAssignment
 
 
-def _density_estimate(expected: Callable[[float], tuple[float, float]],
-                      observed: float, gamma_max: float) -> float | None:
-    try:
-        return fit_gamma_density(expected, observed, gamma_max=gamma_max)
-    except ValueError:
-        return None
-
-
-def _model_fit(name: str, model: _PairSumModel, fit: GammaFit,
-               observed: int, g: float | None, gamma_min: float,
-               gamma_max: float) -> ModelFit:
-    """The fit of one model with its density match and likelihood curve,
-    all probed on the model's one set of pair sums."""
-    density = _density_estimate(
-        functools.partial(model.expected_edges, derivatives=True), observed, gamma_max)
-    curve = likelihood_curve(model.loglik, gamma_min, gamma_max)
-    return ModelFit(name, fit.gamma, fit.loglik, density, g, fit.at_upper_bound,
-                    fit.at_lower_bound, *curve)
+def _model_fit(model, observed: int, gamma_min: float, gamma_max: float,
+               points: int = 32, fit: GammaFit | None = None,
+               notice: Callable[[ValueError], None] | None = None) -> ModelFit:
+    """One gamma-model (see models._PairSumModel) fitted and tabulated on
+    its one set of pair sums: the likelihood on ``points`` rates, the MLE
+    (``fit`` when the caller has it already) and the density match for
+    ``observed`` edges.  A model without an expected edge count has no
+    density match; when the match fails, ``notice`` gets the reason."""
+    curve = likelihood_curve(model.loglik, gamma_min, gamma_max, points)
+    if fit is None:
+        fit = fit_gamma_mle(functools.partial(model.loglik, derivatives=True),
+                            gamma_min, gamma_max)
+    density = None
+    if model.expected_edges is not None:
+        try:
+            density = fit_gamma_density(
+                functools.partial(model.expected_edges, derivatives=True), observed,
+                gamma_max=gamma_max)
+        except ValueError as exc:
+            if notice is not None:
+                notice(exc)
+    return ModelFit(model.name, fit.gamma, fit.loglik, density, model.g,
+                    fit.at_upper_bound, fit.at_lower_bound, *curve)
 
 
 def compare_models(graph: DirectedGraph,
@@ -288,16 +288,12 @@ def compare_models(graph: DirectedGraph,
         raise GraphStructureError("graph has no nodes")
     if graph.is_weighted:
         raise ValueError("model comparison is defined for unweighted graphs")
-    phases = _candidate_phases(graph, candidates)
+    selection, pair_model = _select_g(graph, candidates, gamma_min, gamma_max)
     levels = trophic_algorithm(graph)
-    selection, pair_model = _select_g(graph, phases, gamma_min, gamma_max)
-    prdrg_fit = _model_fit("directed-pRDRG", pair_model, selection.gamma_fit,
-                           graph.edge_count, selection.best.g, gamma_min, gamma_max)
-    level_model = _LevelModel(levels.h, graph)
-    level_fit = fit_gamma_mle(functools.partial(level_model.loglik, derivatives=True),
-                              gamma_min, gamma_max)
-    trophic_fit = _model_fit("trophic-RDRG", level_model, level_fit,
-                             graph.edge_count, None, gamma_min, gamma_max)
+    prdrg_fit = _model_fit(pair_model, graph.edge_count, gamma_min, gamma_max,
+                           fit=selection.gamma_fit)
+    trophic_fit = _model_fit(_LevelModel(levels.h, graph), graph.edge_count,
+                             gamma_min, gamma_max)
     log_ratio = prdrg_fit.loglik_at_mle - trophic_fit.loglik_at_mle
     return ComparisonReport(
         per_g=selection.fits,

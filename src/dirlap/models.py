@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .graphs import DirectedGraph
-from .spectral import TWO_PI, NumericalError, _check_rotation
+from .spectral import TWO_PI, NumericalError, _check_rotation, _squared_level_gaps
 
 
 def _check_gamma(gamma: float) -> float:
@@ -257,20 +257,27 @@ def _observed_excess(graph: DirectedGraph, theta: np.ndarray, g: float) -> float
                         - 1.0))
 
 
+# A gamma-model is one attribute vector's model with a ``name``, the
+# rotation ``g`` (None but for the pair model) and two probes:
+# ``loglik(gamma, derivatives=False)``, the log-likelihood, or (l, l', l'')
+# with ``derivatives``; and ``expected_edges(gamma, derivatives=False)``,
+# the expected edge count, or (N, N'), or None for a model that has none.
+# inference._model_fit fits and tabulates any of them.
+
+
 class _PairSumModel:
-    """A random-graph model whose log-likelihood is gamma * slope less a
-    pair sum S(gamma), with ``slope`` an O(m) edge term taken once (None
-    without a graph), and whose expected edge count is a pair sum N(gamma).
+    """A gamma-model whose log-likelihood is gamma * slope less a pair sum
+    S(gamma), with ``slope`` an O(m) edge term taken once (None without a
+    graph), and whose expected edge count is a pair sum N(gamma).
     Subclasses give ``_rows(gamma, expected, derivatives)``, the row stack
     of one pair's term of S, or of N when ``expected``, followed by its
     gamma-derivatives when ``derivatives``; and ``pairs``, whose
     ``sum(rows, gamma)`` sums each row of such a stack over the pairs.
-
-    ``loglik(gamma, derivatives=True)`` returns (l, l', l'') and
-    ``expected_edges(gamma, derivatives=True)`` (N, N'), each from one pass
-    of the pair sums; without ``derivatives`` they return the value alone.
+    Each probe takes one pass of the pair sums.
     """
 
+    name: str
+    g: float | None = None
     slope: float | None
 
     def _sums(self, gamma: float, expected: bool, derivatives: bool) -> np.ndarray:
@@ -302,6 +309,8 @@ class _PairModel(_PairSumModel):
     Fourier pair sum of 2f + q + l.  Setup is O(n*K + m) and a probe
     O(M log M).
     """
+
+    name = "directed-pRDRG"
 
     def __init__(self, theta, g: float, graph: DirectedGraph | None = None):
         theta = np.asarray(theta, dtype=float)
@@ -351,18 +360,9 @@ def prdrg_sample(params: PRDRGParams, seed) -> DirectedGraph:
     return DirectedGraph(n, np.column_stack((src, dst)))
 
 
-def make_prdrg_expected_edges(theta, g: float) -> Callable[..., float]:
-    """Precompute the angle terms and return gamma -> expected edge count.
-
-    The probe takes ``derivatives=True`` for (N, N') in gamma; see
-    _PairModel.
-    """
-    return _PairModel(theta, g).expected_edges
-
-
 def prdrg_expected_edges(theta, gamma: float, g: float) -> float:
     """Expected directed-edge count: sum over pairs of 2f + q + l."""
-    return make_prdrg_expected_edges(theta, g)(gamma)
+    return _PairModel(theta, g).expected_edges(gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -546,6 +546,8 @@ class _LevelModel(_PairSumModel):
     more the first time it needs a new P.
     """
 
+    name = "trophic-RDRG"
+
     def __init__(self, h, graph: DirectedGraph | None = None):
         h = np.asarray(h, dtype=float)
         self.slope = None
@@ -553,11 +555,7 @@ class _LevelModel(_PairSumModel):
             if graph.is_weighted:
                 raise ValueError("the Bernoulli level model is defined for "
                                  "unweighted graphs; see weighted_trophic_logdensity")
-            if h.shape != (graph.n,):
-                raise ValueError(f"h has length {h.size}, expected {graph.n}")
-            src, dst = graph.edge_index.T
-            # minus the edges' squared gaps
-            self.slope = -float(np.square(h[src] - h[dst] + 1.0).sum())
+            self.slope = -float(_squared_level_gaps(graph, h).sum())
         self.pairs = _LevelPairSums(h)
 
     _rows = staticmethod(_level_rows)
@@ -587,18 +585,9 @@ def trophic_sample(params: TrophicParams, seed) -> DirectedGraph:
     return DirectedGraph(n, np.argwhere(adj))
 
 
-def make_trophic_expected_edges(h) -> Callable[..., float]:
-    """Precompute the level terms and return gamma -> expected edge count.
-
-    The probe takes ``derivatives=True`` for (N, N') in gamma; see
-    _LevelModel.
-    """
-    return _LevelModel(h).expected_edges
-
-
 def trophic_expected_edges(h, gamma: float) -> float:
     """Expected directed-edge count: sum of edge probabilities over i != j."""
-    return make_trophic_expected_edges(h)(gamma)
+    return _LevelModel(h).expected_edges(gamma)
 
 
 # Taylor coefficients at 0 of L(x) = log((1 - exp(-x)) / x) and of its
@@ -655,26 +644,30 @@ def _log_weight_normalizer_derivatives(x: np.ndarray):
     return slope, curvature
 
 
-def make_weighted_trophic_logdensity(graph: DirectedGraph, h) -> Callable[..., float]:
-    """Precompute the level terms and return gamma -> log-density of the
-    observed edge weights (see weighted_trophic_logdensity).
+class _WeightedLevelModel:
+    """The gamma-model of the observed edge weights of a weighted graph
+    under one level vector (see weighted_trophic_logdensity).
 
-    The probe takes ``derivatives=True`` for (l, l', l'') in gamma.  With
-    p the edge's penalty and x = gamma * p, an edge adds -w * p - p * L'(x)
-    and -p^2 * L''(x) to them, L = _log_weight_normalizer; an edge with
-    p = 0 adds nothing.  O(m) per probe.
+    With p the edge's squared gap and x = gamma * p, an edge adds
+    -gamma * w * p - L(x) to l, and -w * p - p * L'(x) and -p^2 * L''(x) to
+    l' and l'', L = _log_weight_normalizer; an edge with p = 0 adds nothing.
+    O(m) per probe.  Absent pairs carry no mass, so there is no expected
+    edge count.
     """
-    if not graph.is_weighted:
-        raise ValueError("weighted_trophic_logdensity needs a weighted graph")
-    h = np.asarray(h, dtype=float)
-    if h.shape != (graph.n,):
-        raise ValueError(f"h has length {h.size}, expected {graph.n}")
-    idx = graph.edge_index
-    w = graph.edge_weights
-    penalty = (h[idx[:, 1]] - h[idx[:, 0]] - 1.0) ** 2
 
-    def logdensity(gamma: float, derivatives: bool = False):
+    name = "weighted-trophic-RDRG"
+    g = None
+    expected_edges = None
+
+    def __init__(self, h, graph: DirectedGraph):
+        if not graph.is_weighted:
+            raise ValueError("weighted_trophic_logdensity needs a weighted graph")
+        self.penalty = _squared_level_gaps(graph, h)
+        self.weights = graph.edge_weights
+
+    def loglik(self, gamma: float, derivatives: bool = False):
         gamma = _check_gamma(gamma)
+        w, penalty = self.weights, self.penalty
         x = gamma * penalty
         value = float(np.sum(-gamma * w * penalty - _log_weight_normalizer(x)))
         if not derivatives:
@@ -682,8 +675,6 @@ def make_weighted_trophic_logdensity(graph: DirectedGraph, h) -> Callable[..., f
         slope, curvature = _log_weight_normalizer_derivatives(x)
         return (value, float(np.sum(-w * penalty - penalty * slope)),
                 float(-np.sum(np.square(penalty) * curvature)))
-
-    return logdensity
 
 
 def weighted_trophic_logdensity(graph: DirectedGraph, params: TrophicParams) -> float:
@@ -694,7 +685,7 @@ def weighted_trophic_logdensity(graph: DirectedGraph, params: TrophicParams) -> 
     Z = (1 - exp(-gamma * p)) / (gamma * p).  Pairs without an edge are
     outside this model's sample space and contribute nothing.
     """
-    return make_weighted_trophic_logdensity(graph, params.h)(params.gamma)
+    return _WeightedLevelModel(params.h, graph).loglik(params.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -732,6 +723,18 @@ def kernel_loglik(graph: DirectedGraph, model: KernelModel) -> float:
 # synthetic attribute generators
 
 
+def _grouped(centers: np.ndarray, cluster_size: int, noise: float, seed) -> np.ndarray:
+    """``cluster_size`` values at each of ``centers``, in order, plus
+    uniform noise on (-noise, noise)."""
+    if len(centers) < 1 or cluster_size < 1:
+        raise ValueError("clusters and cluster_size must be >= 1")
+    if noise < 0:
+        raise ValueError("noise half-width must be >= 0")
+    rng = np.random.default_rng(seed)
+    base = np.repeat(centers, cluster_size)
+    return base + rng.uniform(-noise, noise, len(base))
+
+
 def gen_clustered_angles(clusters: int, cluster_size: int, noise: float, seed) -> np.ndarray:
     """Angles in ``clusters`` evenly spaced groups of ``cluster_size``.
 
@@ -739,21 +742,9 @@ def gen_clustered_angles(clusters: int, cluster_size: int, noise: float, seed) -
     (-noise, noise).  Angles are not wrapped, so the group ranges are
     exactly [center - noise, center + noise].
     """
-    if clusters < 1 or cluster_size < 1:
-        raise ValueError("clusters and cluster_size must be >= 1")
-    if noise < 0:
-        raise ValueError("noise half-width must be >= 0")
-    rng = np.random.default_rng(seed)
-    base = np.repeat(TWO_PI * np.arange(clusters) / clusters, cluster_size)
-    return base + rng.uniform(-noise, noise, clusters * cluster_size)
+    return _grouped(TWO_PI * np.arange(clusters) / clusters, cluster_size, noise, seed)
 
 
 def gen_trophic_levels(clusters: int, cluster_size: int, noise: float, seed) -> np.ndarray:
     """Levels 1..clusters in groups of ``cluster_size`` plus uniform noise."""
-    if clusters < 1 or cluster_size < 1:
-        raise ValueError("clusters and cluster_size must be >= 1")
-    if noise < 0:
-        raise ValueError("noise half-width must be >= 0")
-    rng = np.random.default_rng(seed)
-    base = np.repeat(np.arange(1, clusters + 1, dtype=float), cluster_size)
-    return base + rng.uniform(-noise, noise, clusters * cluster_size)
+    return _grouped(np.arange(1, clusters + 1, dtype=float), cluster_size, noise, seed)

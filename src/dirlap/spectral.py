@@ -18,8 +18,7 @@ from scipy.sparse import csr_matrix, diags
 from scipy.sparse.linalg import cg
 
 from .graphs import (DirectedGraph, GraphStructureError, SymmetrizedView,
-                     _freeze_csr, csv_labels, csv_text, is_weakly_connected,
-                     symmetrize)
+                     _freeze_csr, is_weakly_connected, symmetrize)
 
 TWO_PI = 2.0 * np.pi
 
@@ -310,21 +309,27 @@ def magnetic_algorithm(graph: DirectedGraph, g: float) -> PhaseAssignment:
     return PhaseAssignment(theta=theta, g=float(g), smallest_eigenvalue=value)
 
 
+def _squared_level_gaps(graph: DirectedGraph, h) -> np.ndarray:
+    """(h_j - h_i - 1)^2 for each edge i -> j, in edge order; ``h`` holds
+    one level per node."""
+    h = np.asarray(h, dtype=float)
+    if h.shape != (graph.n,):
+        raise ValueError(f"h has length {h.size}, expected {graph.n}")
+    src, dst = graph.edge_index.T
+    return np.square(h[dst] - h[src] - 1.0)
+
+
 def trophic_incoherence(graph: DirectedGraph, h) -> float:
     """Normalized squared deviation of edges from a unit level climb.
 
     sum_ij A_ij (h_j - h_i - 1)^2 / sum_ij A_ij, using weights directly
     when present.  Zero exactly for a perfect linear hierarchy.
     """
-    h = np.asarray(h, dtype=float)
-    if h.shape != (graph.n,):
-        raise ValueError(f"h has length {h.size}, expected {graph.n}")
+    gaps = _squared_level_gaps(graph, h)
     if graph.edge_count == 0:
         raise GraphStructureError("incoherence is undefined on an edgeless graph")
-    idx = graph.edge_index
-    w = graph.edge_weights if graph.is_weighted else np.ones(len(idx))
-    dev = h[idx[:, 1]] - h[idx[:, 0]] - 1.0
-    return float(np.sum(w * dev**2) / np.sum(w))
+    w = graph.edge_weights if graph.is_weighted else np.ones(len(gaps))
+    return float(np.sum(w * gaps) / np.sum(w))
 
 
 def trophic_algorithm(graph: DirectedGraph) -> TrophicAssignment:
@@ -357,16 +362,3 @@ def trophic_algorithm(graph: DirectedGraph) -> TrophicAssignment:
             f"level solve residual {residual:.3e} exceeds tolerance")
     h = h - h.min()
     return TrophicAssignment(h=h, incoherence=trophic_incoherence(graph, h))
-
-
-def assignment_to_csv(graph: DirectedGraph, values, fmt: str = "%.12g") -> str:
-    """Serialize per-node values as ``label,value`` CSV rows.
-
-    Labels are quoted only where CSV needs it (a comma, a double quote or
-    a line break); plain labels are written as they are.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.shape != (graph.n,):
-        raise ValueError(f"expected {graph.n} values, got {values.size}")
-    return csv_text(["label", "value"], [(csv_labels(graph), None),
-                                         ([fmt % v for v in values.tolist()], None)])

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 from dirlap import DirectedGraph, parse_edge_list
-from dirlap.cli import main
+from dirlap.cli import MAX_GRID_POINTS, main
 from helpers import random_graph
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
 FOOD_WEB = FIXTURES / "food_web_scc.edges"
+GOLDEN = FIXTURES / "golden"
 
 
 def run(*args) -> int:
@@ -255,9 +256,11 @@ class TestArgumentErrors:
         self.refused(capsys, *args)
 
     def test_grid_points_checked_before_reading(self, tmp_path, capsys):
-        self.refused(capsys, "curve", "--input", FOOD_WEB, "--model", "trophic",
-                     "--attributes", tmp_path / "missing.csv", "--grid-points", 0,
-                     "--out", tmp_path / "c.csv")
+        # the limit is checked as the flag is parsed: no run starts at it
+        for points in (0, MAX_GRID_POINTS + 1):
+            self.refused(capsys, "curve", "--input", FOOD_WEB, "--model", "trophic",
+                         "--attributes", tmp_path / "missing.csv",
+                         "--grid-points", points, "--out", tmp_path / "c.csv")
 
     @pytest.mark.parametrize("g", [None, "1/0", "x"], ids=["missing", "zero-denominator",
                                                           "malformed"])
@@ -265,6 +268,82 @@ class TestArgumentErrors:
         args = ["curve", "--input", tmp_path / "missing.edges", "--model", "prdrg",
                 "--attributes", tmp_path / "missing.csv", "--out", tmp_path / "c.csv"]
         self.refused(capsys, *args, *(["--g", g] if g else []))
+
+
+class TestStrayFailures:
+    """Failures outside the input stages still end in one error line and
+    a documented exit code, with no traceback."""
+
+    @pytest.mark.parametrize("args", [
+        ["compare", "--input", FOOD_WEB, "--out-dir", "{blocked}/sub"],
+        ["reorder", "--input", FOOD_WEB, "--method", "trophic",
+         "--out-dir", "{blocked}/sub"],
+        ["generate", "--model", "trophic", "--clusters", 2, "--cluster-size", 3,
+         "--gamma", 1, "--out", "{blocked}/x.edges"],
+        ["curve", "--input", FOOD_WEB, "--model", "trophic",
+         "--attributes", GOLDEN / "levels.csv", "--out", "{blocked}/c.csv"],
+    ], ids=["compare", "reorder", "generate", "curve"])
+    def test_unwritable_output_path(self, tmp_path, capsys, args):
+        blocked = tmp_path / "file"         # a file where a folder should be
+        blocked.write_text("")
+        code = run(*(str(a).replace("{blocked}", str(blocked)) for a in args))
+        err = capsys.readouterr().err
+        assert code == 1
+        errors = [line for line in err.splitlines() if line.startswith("error [")]
+        assert len(errors) == 1 and errors[0].startswith("error [write]:"), err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError("Unable to allocate 8.00 GiB"),
+         "error [memory]: Unable to allocate 8.00 GiB"),
+        (MemoryError(), "error [memory]: out of memory"),
+    ], ids=["message", "bare"])
+    def test_memory_error_exits_three(self, tmp_path, capsys, monkeypatch, exc, line):
+        def exhausted(*args, **kwargs):
+            raise exc
+        monkeypatch.setattr("dirlap.cli.compare_models", exhausted)
+        code = run("compare", "--input", FOOD_WEB, "--out-dir", tmp_path)
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert not any(tmp_path.iterdir())
+
+
+class TestGoldenBundle:
+    """The food web's bundle and two curves against fixtures/golden, written
+    from the repository root by
+
+        dirlap compare --input tests/fixtures/food_web_scc.edges --out-dir G
+        dirlap curve --input tests/fixtures/food_web_scc.edges --model trophic \\
+            --attributes G/levels.csv --out G/curve_trophic.csv
+        dirlap curve --input tests/fixtures/food_web_scc.edges --model prdrg \\
+            --g 1/3 --attributes G/phases.csv --out G/curve_prdrg.csv
+
+    Each curve reads the golden attributes, so only phases.csv and
+    levels.csv, 12 digits from the eigensolver and CG, may differ in a last
+    digit on another BLAS; they are compared to 1e-9.
+    """
+
+    EXACT = ["report.txt", "summary.csv", "likelihood_curve_prdrg.csv",
+             "likelihood_curve_trophic.csv", "curve_trophic.csv", "curve_prdrg.csv"]
+
+    def test_bundle_matches_golden(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(FIXTURES.parent.parent)     # report.txt records the path
+        edges = "tests/fixtures/food_web_scc.edges"
+        assert run("compare", "--input", edges, "--out-dir", tmp_path) == 0
+        for model, attributes, extra in (("trophic", "levels.csv", []),
+                                         ("prdrg", "phases.csv", ["--g", "1/3"])):
+            assert run("curve", "--input", edges, "--model", model, *extra,
+                       "--attributes", GOLDEN / attributes,
+                       "--out", tmp_path / f"curve_{model}.csv") == 0
+        assert capsys.readouterr().err == ""
+        for name in self.EXACT:
+            assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+        for name in ("phases.csv", "levels.csv"):
+            got = [row.split(",") for row in (tmp_path / name).read_text().splitlines()]
+            want = [row.split(",") for row in (GOLDEN / name).read_text().splitlines()]
+            assert got[0] == want[0] and [r[0] for r in got] == [r[0] for r in want]
+            np.testing.assert_allclose([float(r[1]) for r in got[1:]],
+                                       [float(r[1]) for r in want[1:]], rtol=0, atol=1e-9)
 
 
 class TestCsvLabels:
@@ -303,7 +382,7 @@ class TestCsvLabels:
         assert sorted(row[1] for row in rows[1:]) == ["0", "1", "2"]
 
     def test_plain_labels_are_not_quoted(self):
-        from dirlap.spectral import assignment_to_csv
+        from dirlap.cli import assignment_to_csv
         graph = parse_edge_list(FOOD_WEB.read_text()).graph
         values = np.linspace(0.0, 1.0, graph.n)
         assert assignment_to_csv(graph, values) == "label,value\n" + "".join(
@@ -508,7 +587,7 @@ class TestCurveCommand:
 
     def test_density_mark_matches_direct_fit(self, tmp_path):
         from dirlap import fit_gamma_density
-        from dirlap.models import make_trophic_expected_edges
+        from dirlap.models import _LevelModel
         graph_file, attrs_file = self._generated(tmp_path)
         out = tmp_path / "curve.csv"
         assert run("curve", "--input", graph_file, "--model", "trophic",
@@ -520,7 +599,7 @@ class TestCurveCommand:
         attrs = np.array([float(line.split(",")[1]) for line
                           in attrs_file.read_text().splitlines()[1:]])
         direct = fit_gamma_density(
-            lambda g: make_trophic_expected_edges(attrs)(g, derivatives=True),
+            lambda g: _LevelModel(attrs).expected_edges(g, derivatives=True),
             graph.edge_count)
         grid = np.geomspace(1e-3, 50.0, 64)
         assert abs(math.log(marks[0]) - math.log(direct)) \
@@ -552,11 +631,12 @@ class TestCurveCommand:
         assert len(marks) == 1 and abs(marks[0] - int(np.argmax(values))) <= 1
         assert all(r[3] == "0" for r in rows)
         from dirlap import fit_gamma_mle
-        from dirlap.models import make_weighted_trophic_logdensity
+        from dirlap.models import _WeightedLevelModel
         graph = parse_edge_list(graph_file.read_text(), weighted=True).graph
         h_by_label = dict(zip((f"n{i}" for i in range(40)), h))
-        fit = fit_gamma_mle(functools.partial(make_weighted_trophic_logdensity(
-            graph, [h_by_label[graph.label(i)] for i in range(graph.n)]), derivatives=True))
+        fit = fit_gamma_mle(functools.partial(_WeightedLevelModel(
+            [h_by_label[graph.label(i)] for i in range(graph.n)], graph).loglik,
+            derivatives=True))
         assert not fit.at_upper_bound and not fit.at_lower_bound
         grid = np.geomspace(1e-3, 50.0, 64)
         assert marks[0] == int(np.argmin(np.abs(np.log(grid) - np.log(fit.gamma))))

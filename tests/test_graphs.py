@@ -639,7 +639,7 @@ class TestCsvWriter:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(csv_field_texts, min_size=1, max_size=12), st.randoms())
     def test_label_files_match_csv_writer(self, labels, random):
-        from dirlap.spectral import assignment_to_csv
+        from dirlap.cli import assignment_to_csv
         n = len(labels)
         graph = DirectedGraph(n, (), labels=labels)
         perm = np.array(random.sample(range(n), n))

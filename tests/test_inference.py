@@ -13,8 +13,8 @@ from dirlap import (DEFAULT_G_CANDIDATES, DegeneracyWarning, DirectedGraph,
                     likelihood_curve, magnetic_algorithm, parse_edge_list,
                     prdrg_expected_edges, prdrg_sample, select_g,
                     trophic_algorithm, trophic_expected_edges, trophic_sample)
-from dirlap.models import (make_prdrg_expected_edges, make_prdrg_loglik,
-                           make_trophic_expected_edges, make_trophic_loglik)
+from dirlap.models import (_LevelModel, _PairModel, make_prdrg_loglik,
+                           make_trophic_loglik)
 from helpers import (block_cycle_graph, count_view_builds, dense_grid_maximizer,
                      golden_section_fit, level_fixtures, random_graph)
 
@@ -40,10 +40,10 @@ def fit_objectives():
         pair_cases.append((f"pair-{clusters}x{size}", graph, planted, g))
     for name, graph, theta, g in pair_cases:
         yield (name, make_prdrg_loglik(graph, theta, g),
-               make_prdrg_expected_edges(theta, g), graph.edge_count)
+               _PairModel(theta, g).expected_edges, graph.edge_count)
     for k, (graph, h) in enumerate(level_fixtures()):
         yield (f"levels-{k}", make_trophic_loglik(graph, h),
-               make_trophic_expected_edges(h), graph.edge_count)
+               _LevelModel(h).expected_edges, graph.edge_count)
 
 
 FIT_OBJECTIVES = list(fit_objectives())
@@ -190,7 +190,7 @@ class TestFitGammaDensity:
         theta = rng.uniform(0, 2 * np.pi, 30)
         observed = prdrg_expected_edges(theta, 2.0, 0.25)
         gamma = fit_gamma_density(functools.partial(
-            make_prdrg_expected_edges(theta, 0.25), derivatives=True), observed)
+            _PairModel(theta, 0.25).expected_edges, derivatives=True), observed)
         assert abs(gamma - 2.0) <= 1e-3
 
     def test_trophic_density_estimate(self):
@@ -198,7 +198,7 @@ class TestFitGammaDensity:
         h = rng.uniform(0, 4, 40)
         observed = trophic_expected_edges(h, 1.5)
         gamma = fit_gamma_density(functools.partial(
-            make_trophic_expected_edges(h), derivatives=True), observed)
+            _LevelModel(h).expected_edges, derivatives=True), observed)
         assert abs(gamma - 1.5) <= 1e-3
 
     def test_mle_more_accurate_than_density_match(self):
@@ -212,7 +212,7 @@ class TestFitGammaDensity:
         mle = fit_gamma_mle(functools.partial(make_prdrg_loglik(scc, estimated, g),
                                               derivatives=True))
         density = fit_gamma_density(functools.partial(
-            make_prdrg_expected_edges(estimated, g), derivatives=True), scc.edge_count)
+            _PairModel(estimated, g).expected_edges, derivatives=True), scc.edge_count)
         assert abs(mle.gamma - truth) < abs(density - truth)
         assert abs(mle.gamma - truth) / truth <= 0.15
 

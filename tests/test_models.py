@@ -16,11 +16,10 @@ from dirlap import (DirectedGraph, KernelModel, NumericalError, PRDRGParams,
                     quadratic_form, symmetrize, trophic_algorithm,
                     trophic_edge_prob, trophic_expected_edges,
                     trophic_loglik, trophic_sample, weighted_trophic_logdensity)
-from dirlap.models import (_chebyshev_points, _level_rows, _LevelPairSums,
-                           _observed_excess,
-                           make_prdrg_expected_edges, make_prdrg_loglik,
-                           make_trophic_expected_edges, make_trophic_loglik,
-                           make_weighted_trophic_logdensity)
+from dirlap.models import (_chebyshev_points, _level_rows, _LevelModel,
+                           _LevelPairSums, _observed_excess, _PairModel,
+                           _WeightedLevelModel, make_prdrg_loglik,
+                           make_trophic_loglik)
 from helpers import (adjacency, barycentric_level_weights, block_cycle_graph,
                      deep_hierarchy, direct_bernoulli_loglik,
                      direct_trophic_expected_edges, exact_prdrg_expected_edges,
@@ -456,7 +455,7 @@ class TestWeightedDensity:
         edges = np.unique(np.vstack([[[0, 1]], random_graph(rng, 30, 0.2).edge_index]),
                           axis=0)
         graph = DirectedGraph(30, edges, weights=rng.uniform(0.01, 0.99, len(edges)))
-        logdensity = make_weighted_trophic_logdensity(graph, h)
+        logdensity = _WeightedLevelModel(h, graph).loglik
         for gamma in [0.3, 2.0, 7.0, *ORACLE_GAMMAS]:
             value, first, second = logdensity(gamma, derivatives=True)
             assert value == weighted_trophic_logdensity(graph, TrophicParams(h, gamma))
@@ -468,7 +467,7 @@ class TestWeightedDensity:
 
     def test_zero_penalty_edge_has_no_slope(self):
         graph = DirectedGraph(2, ((0, 1),), weights=(0.37,))
-        logdensity = make_weighted_trophic_logdensity(graph, [0.0, 1.0])
+        logdensity = _WeightedLevelModel([0.0, 1.0], graph).loglik
         for gamma in (0.0, 1e-3, 1.0, 50.0):
             assert logdensity(gamma, derivatives=True) == (0.0, 0.0, 0.0)
 
@@ -621,12 +620,12 @@ def model_probes():
     expected edge count on the pair and level fixtures."""
     for name, graph, theta, g in pair_fixtures():
         yield (name, graph.n, make_prdrg_loglik(graph, theta, g),
-               make_prdrg_expected_edges(theta, g),
+               _PairModel(theta, g).expected_edges,
                lambda x, graph=graph, theta=theta, g=g: exact_prdrg_loglik(graph, theta, x, g),
                lambda x, theta=theta, g=g: exact_prdrg_expected_edges(theta, x, g))
     for k, (graph, h) in enumerate(level_fixtures()):
         yield (f"levels-{k}", graph.n, make_trophic_loglik(graph, h),
-               make_trophic_expected_edges(h),
+               _LevelModel(h).expected_edges,
                lambda x, graph=graph, h=h: direct_bernoulli_loglik(graph, h, x),
                lambda x, h=h: direct_trophic_expected_edges(h, x))
 
@@ -701,7 +700,7 @@ class TestLevelModelProbes:
 
     def test_expected_edges_equal_direct_sum(self):
         for _, h in level_fixtures():
-            expected = make_trophic_expected_edges(h)
+            expected = _LevelModel(h).expected_edges
             for gamma in [0.0, *ORACLE_GAMMAS]:
                 direct = direct_trophic_expected_edges(h, gamma)
                 assert expected(gamma) == pytest.approx(direct, rel=1e-13, abs=0.0)
@@ -723,7 +722,7 @@ class TestLevelModelProbes:
         # n = 1000: one n x n float array is 8 MB
         h = gen_trophic_levels(5, 200, 0.2, 7)
         graph = trophic_sample(TrophicParams(h, 5.0), 8)
-        probes = (make_trophic_loglik(graph, h), make_trophic_expected_edges(h))
+        probes = (make_trophic_loglik(graph, h), _LevelModel(h).expected_edges)
         for probe in probes:
             probe(1.0)
             tracemalloc.start()
@@ -740,7 +739,7 @@ class TestLevelModelProbes:
         h = trophic_algorithm(graph).h
         tracemalloc.start()
         try:
-            probes = (make_trophic_loglik(graph, h), make_trophic_expected_edges(h))
+            probes = (make_trophic_loglik(graph, h), _LevelModel(h).expected_edges)
             for probe in probes:
                 for gamma in (1e-3, 1.0, 50.0):
                     probe(gamma)
@@ -759,7 +758,7 @@ class TestLevelPairSums:
     @staticmethod
     def assert_match_oracle(graph, h):
         loglik = make_trophic_loglik(graph, h)
-        expected = make_trophic_expected_edges(h)
+        expected = _LevelModel(h).expected_edges
         for gamma in TestLevelPairSums.GAMMAS:
             assert loglik(gamma) == pytest.approx(
                 direct_bernoulli_loglik(graph, h, gamma), rel=1e-13, abs=0.0)
@@ -793,7 +792,7 @@ class TestLevelPairSums:
         assert np.ptp(h) == 0.0
         assert self.node_counts(h, self.GAMMAS) == {1}
         self.assert_match_oracle(cycle, h)
-        expected = make_trophic_expected_edges(h)
+        expected = _LevelModel(h).expected_edges
         for gamma in self.GAMMAS:
             assert expected(gamma) == pytest.approx(
                 100 * 99 * trophic_edge_prob(0.0, 0.0, gamma), rel=1e-15, abs=0.0)
@@ -830,7 +829,7 @@ class TestLevelPairSums:
         graph, h = deep_hierarchy()
         sums = _LevelPairSums(h)
         loglik = make_trophic_loglik(graph, h)
-        expected = make_trophic_expected_edges(h)
+        expected = _LevelModel(h).expected_edges
         for gamma in (1.0, 10.0, 30.0, 50.0):
             counts = {sums.node_count(_level_rows(gamma, e, d))
                       for e, d in itertools.product((False, True), repeat=2)}
@@ -843,8 +842,8 @@ class TestLevelPairSums:
     def test_value_independent_of_probe_order(self):
         graph, h = deep_hierarchy()
         fresh = [make_trophic_loglik(graph, h)(1.0, derivatives=True),
-                 make_trophic_expected_edges(h)(1.0, derivatives=True)]
-        probed = [make_trophic_loglik(graph, h), make_trophic_expected_edges(h)]
+                 _LevelModel(h).expected_edges(1.0, derivatives=True)]
+        probed = [make_trophic_loglik(graph, h), _LevelModel(h).expected_edges]
         for probe in probed:
             probe(30.0)         # builds more moments, and P = 2048, first
         assert [probe(1.0, derivatives=True) for probe in probed] == fresh
