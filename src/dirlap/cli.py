@@ -296,41 +296,36 @@ def cmd_reorder(args) -> int:
 
 def cmd_generate(args) -> int:
     attr_seed, edge_seed = np.random.SeedSequence(args.seed).spawn(2)
+    meta = {"model": args.model, "clusters": args.clusters,
+            "cluster_size": args.cluster_size, "noise": repr(args.noise),
+            "gamma": repr(args.gamma)}
     if args.model == "prdrg":
         # one rotation step per cluster; a single cluster has no step to
         # encode, so any admissible rotation does
         g = args.g if args.g is not None else 1.0 / max(args.clusters, 2)
+        meta["g"] = repr(g)
         attributes = gen_clustered_angles(args.clusters, args.cluster_size,
                                           args.noise, attr_seed)
         graph = prdrg_sample(PRDRGParams(attributes, args.gamma, g), edge_seed)
     else:
-        g = None
         attributes = gen_trophic_levels(args.clusters, args.cluster_size,
                                         args.noise, attr_seed)
         graph = trophic_sample(TrophicParams(attributes, args.gamma), edge_seed)
+    meta.update(seed=args.seed, nodes=graph.n, edges=graph.edge_count)
     out = args.out
     _write(out, serialize_edge_list(graph))
-    meta = [
-        f"model = {args.model}",
-        f"clusters = {args.clusters}",
-        f"cluster_size = {args.cluster_size}",
-        f"noise = {args.noise!r}",
-        f"gamma = {args.gamma!r}",
-    ]
-    if g is not None:
-        meta.append(f"g = {g!r}")
-    meta += [
-        f"seed = {args.seed}",
-        f"nodes = {graph.n}",
-        f"edges = {graph.edge_count}",
-    ]
-    _write(Path(str(out) + ".meta"), "".join(line + "\n" for line in meta))
+    _write(Path(str(out) + ".meta"),
+           "".join(f"{key} = {value}\n" for key, value in meta.items()))
     _write(Path(str(out) + ".attributes.csv"), assignment_to_csv(graph, attributes))
     print(f"wrote {graph.n} nodes, {graph.edge_count} edges to {out}")
     return EXIT_OK
 
 
-def _read_attributes(path: Path, graph: DirectedGraph, model: str) -> np.ndarray:
+def _read_attributes(path: Path, graph: DirectedGraph,
+                     model: str) -> tuple[DirectedGraph, np.ndarray]:
+    """The graph and one attribute value per node.  An edge list cannot
+    hold an isolated node, so each attribute label it lacks is added to
+    the graph as one, with a notice giving their count."""
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -351,25 +346,31 @@ def _read_attributes(path: Path, graph: DirectedGraph, model: str) -> np.ndarray
         except ValueError:
             raise _StageError("attributes", f"bad attribute row {lineno}: {row!r}",
                               EXIT_INPUT) from None
+        label = label.strip()
         if not math.isfinite(value):
             raise _StageError("attributes", f"attribute value {value} of node "
-                              f"{label.strip()!r} is not finite", EXIT_INPUT)
+                              f"{label!r} is not finite", EXIT_INPUT)
         if abs(value) > limit:
             raise _StageError("attributes", f"{kind} {value!r} of node "
-                              f"{label.strip()!r} exceeds {limit:g} in magnitude: "
+                              f"{label!r} exceeds {limit:g} in magnitude: "
                               f"{why}", EXIT_INPUT)
-        values[label.strip()] = value
-    if len(values) != graph.n:
-        raise _StageError("attributes", f"{len(values)} attribute value(s) for "
-                          f"{graph.n} node(s)", EXIT_INPUT)
-    out = np.empty(graph.n)
-    for i in range(graph.n):
-        label = graph.label(i)
+        if label in values:
+            raise _StageError("attributes", f"node {label!r} is given twice "
+                              f"(row {lineno})", EXIT_INPUT)
+        values[label] = value
+    labels = [graph.label(i) for i in range(graph.n)]
+    for label in labels:
         if label not in values:
             raise _StageError("attributes", f"no attribute value for node {label!r}",
                               EXIT_INPUT)
-        out[i] = values[label]
-    return out
+    known = set(labels)
+    isolated = [label for label in values if label not in known]
+    if isolated:
+        print(f"notice: read {len(isolated)} attribute label(s) missing from the "
+              "edge list as isolated node(s)", file=sys.stderr)
+        labels += isolated
+        graph = DirectedGraph(len(labels), graph.edge_index, graph.edge_weights, labels)
+    return graph, np.array([values[label] for label in labels])
 
 
 def cmd_curve(args) -> int:
@@ -377,7 +378,7 @@ def cmd_curve(args) -> int:
         raise _StageError("arguments", "--g is required for the prdrg curve",
                           EXIT_INPUT)
     graph = _load_graph(args.input, args.weighted).graph
-    attributes = _read_attributes(args.attributes, graph, args.model)
+    graph, attributes = _read_attributes(args.attributes, graph, args.model)
     if args.model == "prdrg":
         if graph.is_weighted:
             raise _StageError("input", "the prdrg curve requires an unweighted "

@@ -394,18 +394,20 @@ def serialize_edge_list(graph: DirectedGraph) -> str:
     """Inverse of :func:`parse_edge_list` for graphs without isolated nodes.
 
     Lines are sorted by (source label, target label) so the text form is
-    canonical: parsing and re-serializing reproduces it byte for byte.
+    canonical: parsing and re-serializing reproduces it byte for byte.  A
+    weight is written as the ``repr`` of its float.  The lines come from
+    :func:`column_text`, each label and each distinct weight written once.
     """
     names = [graph.label(i) for i in range(graph.n)]
     rank = np.empty(graph.n, dtype=np.int64)
     rank[sorted(range(graph.n), key=names.__getitem__)] = np.arange(graph.n)
     src, dst = graph.edge_index.T
     order = np.lexsort((rank[dst], rank[src]))
-    pairs = graph.edge_index[order].tolist()
+    columns = [(names, src[order]), (names, dst[order])]
     if graph.is_weighted:
-        return "".join(f"{names[i]} {names[j]} {w!r}\n" for (i, j), w
-                       in zip(pairs, graph.edge_weights[order].tolist()))
-    return "".join(f"{names[i]} {names[j]}\n" for i, j in pairs)
+        values, slot = np.unique(graph.edge_weights[order], return_inverse=True)
+        columns.append((list(map(repr, values.tolist())), slot))
+    return column_text(columns, " ")
 
 
 def _edge_pattern(graph: DirectedGraph, data: np.ndarray | None = None) -> csr_matrix:
@@ -642,29 +644,37 @@ def csv_labels(graph: DirectedGraph) -> list[str]:
     return csv_fields(graph.labels if graph.labels is not None else range(graph.n))
 
 
-def csv_text(header: Sequence[str], columns: Sequence[tuple]) -> str:
-    """CSV text with ``\n`` line ends, written a column at a time.
+def column_text(columns: Sequence[tuple], separator: str) -> str:
+    """Rows of text with ``\n`` line ends, written a column at a time.
 
     Each column is a pair (fields, index).  With ``index`` None, ``fields``
     holds one field per row; otherwise it holds the column's distinct
     fields, each written once, and the integer array ``index`` picks one
-    per row.  Fields are strings already in CSV form (see
-    :func:`csv_fields`); the header is quoted here.  Each field gets its
-    separator once, the rows are laid out as references in one object
-    array and one join writes them, so no string is built per row.  A row
-    of one empty field, which ``csv.writer`` writes as ``""``, is not
-    special here: every file written has two columns or more.
+    per row.  Each field gets its ``separator`` (or the line end, in the
+    last column) once, the rows are laid out as references in one list and
+    one join writes them, so no string is built per row.
     """
     cells = None
     for k, (fields, index) in enumerate(columns):
-        end = "\n" if k == len(columns) - 1 else ","
-        fields = np.array([field + end for field in fields], dtype=object)
+        end = "\n" if k == len(columns) - 1 else separator
+        fields = [field + end for field in fields]
         if index is not None:
-            fields = fields[index]
+            fields = np.array(fields, dtype=object)[index].tolist()
         if cells is None:
-            cells = np.empty((len(fields), len(columns)), dtype=object)
-        cells[:, k] = fields
-    return ",".join(csv_fields(header)) + "\n" + "".join(cells.ravel().tolist())
+            cells = [None] * (len(fields) * len(columns))
+        cells[k::len(columns)] = fields
+    return "".join(cells)
+
+
+def csv_text(header: Sequence[str], columns: Sequence[tuple]) -> str:
+    """CSV text with ``\n`` line ends: the header, quoted here, and the
+    rows of :func:`column_text` with ``,`` between fields.
+
+    Fields are strings already in CSV form (see :func:`csv_fields`).  A row
+    of one empty field, which ``csv.writer`` writes as ``""``, is not
+    special here: every file written has two columns or more.
+    """
+    return ",".join(csv_fields(header)) + "\n" + column_text(columns, ",")
 
 
 def rank_fields(perm: np.ndarray) -> tuple[list[str], np.ndarray]:

@@ -134,7 +134,7 @@ def fit_gamma_density(expected_edges: Callable[[float], tuple[float, float]],
     if not lower - slack <= observed <= upper + slack:
         raise ValueError(
             f"observed edge count {observed:g} outside the attainable "
-            f"range [{lower:.6g}, {upper:.6g}]")
+            f"range [{lower!r}, {upper!r}]")
     if high[0] <= observed:
         return gamma_min
     if low[0] >= observed:

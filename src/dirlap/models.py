@@ -89,26 +89,6 @@ class KernelModel:
 # four-outcome pair model
 
 
-def _pair_exponent_bases(beta, g: float):
-    """gamma-free exponents of the four outcomes, in order
-    (reciprocal, forward, backward, none)."""
-    beta = np.asarray(beta, dtype=float)
-    cos_b = np.cos(beta)
-    return np.stack([
-        np.zeros_like(beta),
-        1.0 - 2.0 * cos_b + np.cos(beta + TWO_PI * g),
-        1.0 - 2.0 * cos_b + np.cos(beta - TWO_PI * g),
-        2.0 - 2.0 * cos_b,
-    ])
-
-
-def _four_outcome_logprobs(beta, gamma: float, g: float) -> np.ndarray:
-    expo = gamma * _pair_exponent_bases(beta, g)
-    peak = expo.max(axis=0)
-    log_z = peak + np.log(np.exp(expo - peak).sum(axis=0))
-    return expo - log_z
-
-
 def prdrg_pair_probs(theta_i: float, theta_j: float, gamma: float,
                      g: float) -> tuple[float, float, float, float]:
     """Probabilities (reciprocal, forward, backward, none) for one pair.
@@ -118,10 +98,8 @@ def prdrg_pair_probs(theta_i: float, theta_j: float, gamma: float,
     exp(gamma*(1 - 2cos(beta) + cos(beta - 2*pi*g))) and
     exp(gamma*(2 - 2cos(beta))); the four outputs sum to one.
     """
-    _check_gamma(gamma)
-    _check_rotation(g)
-    logp = _four_outcome_logprobs(float(theta_i) - float(theta_j), gamma, g)
-    probs = np.exp(logp)
+    probs = _outcome_probs(float(theta_i) - float(theta_j), _check_gamma(gamma),
+                           _check_rotation(g))
     return tuple(float(p) for p in probs)
 
 
@@ -207,6 +185,15 @@ def _outcome_excess(beta: np.ndarray, g: float):
     return (2.0 * np.cos(beta) - 2.0,
             np.cos(beta + TWO_PI * g) - 1.0,
             np.cos(beta - TWO_PI * g) - 1.0)
+
+
+def _outcome_probs(beta, gamma: float, g: float) -> np.ndarray:
+    """Probabilities of the reciprocal, forward, backward and no-edge
+    outcomes, stacked on a new first axis: the weights w = exp(gamma *
+    (b - b_none)) of _outcome_excess, and 1 for 'none', over 1 + sum of w."""
+    weights = [np.exp(gamma * a) for a in _outcome_excess(beta, g)]
+    norm = 1.0 + sum(weights)
+    return np.stack(weights + [np.ones_like(norm)]) / norm
 
 
 def _pair_rows(gamma: float, g: float, expected: bool, derivatives: bool):
@@ -344,20 +331,24 @@ def prdrg_loglik(graph: DirectedGraph, params: PRDRGParams) -> float:
 def prdrg_sample(params: PRDRGParams, seed) -> DirectedGraph:
     """Draw a graph: one categorical outcome per unordered pair.
 
-    Deterministic for a given seed; pairs are consumed in a fixed
-    row-major order.
+    Deterministic for a given seed; the pairs i < j are consumed in a fixed
+    row-major order, one block of rows at a time (_blocked_sample), each
+    through _outcome_probs, so no array spans all pairs.
     """
     theta = params.theta
-    n = len(theta)
-    iu, ju = np.triu_indices(n, k=1)
-    logp = _four_outcome_logprobs(theta[iu] - theta[ju], params.gamma, params.g)
-    cum = np.cumsum(np.exp(logp), axis=0)
-    u = np.random.default_rng(seed).random(len(iu))
-    outcome = (u[None, :] >= cum[:3, :]).sum(axis=0)
-    both, fwd, bwd = outcome == 0, outcome == 1, outcome == 2
-    src = np.concatenate([iu[both], ju[both], iu[fwd], ju[bwd]])
-    dst = np.concatenate([ju[both], iu[both], ju[fwd], iu[bwd]])
-    return DirectedGraph(n, np.column_stack((src, dst)))
+    nodes = np.arange(len(theta))
+
+    def block_edges(rows: slice, rng: np.random.Generator) -> np.ndarray:
+        i, j = np.nonzero(nodes[rows, None] < nodes)
+        i += rows.start
+        probs = _outcome_probs(theta[i] - theta[j], params.gamma, params.g)
+        outcome = (rng.random(len(i)) >= np.cumsum(probs[:3], axis=0)).sum(axis=0)
+        # outcomes 0-3 are reciprocal, forward, backward and none
+        fwd, bwd = outcome <= 1, outcome % 2 == 0       # i -> j, j -> i
+        return np.column_stack((np.concatenate((i[fwd], j[bwd])),
+                                np.concatenate((j[fwd], i[bwd]))))
+
+    return _blocked_sample(len(theta), seed, block_edges)
 
 
 def prdrg_expected_edges(theta, gamma: float, g: float) -> float:
@@ -410,13 +401,6 @@ def _level_rows(gamma: float, expected: bool, derivatives: bool):
     return rows
 
 
-def _level_penalty(h: np.ndarray) -> np.ndarray:
-    """The n x n penalties (h_j - h_i - 1)^2, built in one array."""
-    penalty = np.subtract.outer(h, h)       # h_i - h_j, the negated gap
-    np.add(penalty, 1.0, out=penalty)
-    return np.square(penalty, out=penalty)
-
-
 # Level-model pair sums by Chebyshev interpolation.  Let psi(d) be f at the
 # squared gap q = (d - 1)^2, and R = max h - min h.  With t_p the P Chebyshev
 # points of [min h, max h] and w_p = sum_i L_p(h_i) the summed Lagrange
@@ -432,7 +416,36 @@ def _level_penalty(h: np.ndarray) -> np.ndarray:
 # the levels themselves with unit weights, and the sum is the exact one.
 
 _MIN_NODES = 32
-_BLOCK = 1 << 15         # entries of each block of squared gaps a sum works in
+_BLOCK = 1 << 15         # entries of each block of an n x n array worked in
+
+
+def _row_blocks(n: int):
+    """Slices of consecutive rows of an n x n array, each block of rows
+    holding at most _BLOCK entries (one row when a row holds more)."""
+    height = max(1, _BLOCK // max(n, 1))
+    return (slice(start, min(start + height, n)) for start in range(0, n, height))
+
+
+def _blocked_sample(n: int, seed, block_edges: Callable) -> DirectedGraph:
+    """The graph on n nodes with the edges ``block_edges(rows, rng)`` draws
+    for each block of rows of _row_blocks, in order, from one random stream.
+
+    Since ``random(a)`` then ``random(b)`` gives the numbers of one
+    ``random(a + b)``, and a 2-D draw fills its rows in order, blocks that
+    draw in row-major pair order reproduce one draw over all pairs.
+    """
+    rng = np.random.default_rng(seed)
+    parts = [block_edges(rows, rng) for rows in _row_blocks(n)]
+    edges = np.concatenate(parts) if parts else ()
+    del parts           # before the graph sorts or copies the edges
+    return DirectedGraph(n, edges)
+
+
+def _squared_gaps(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """(r - l - 1)^2 for each l of ``left`` (rows) and r of ``right``."""
+    gaps = np.subtract.outer(left, right)
+    gaps += 1.0                             # l - r + 1 = -(r - l - 1)
+    return np.square(gaps, out=gaps)
 
 
 def _chebyshev_points(lo: float, hi: float, count: int) -> np.ndarray:
@@ -510,14 +523,10 @@ class _LevelPairSums:
         """The pair sum of each row of ``rows``, from one P.  ``gamma`` goes
         unread: P tops out at the exact sum, so no rate is too large."""
         points, weights = self._grid(self.node_count(rows))
-        height = max(1, _BLOCK // max(len(points), 1))
         totals = 0.0
-        for start in range(0, len(points), height):
-            gaps = np.subtract.outer(points[start:start + height], points)
-            gaps += 1.0                         # t_p - t_r + 1 = -(t_r - t_p - 1)
-            np.square(gaps, out=gaps)
-            part = weights[start:start + len(gaps)]
-            totals += np.array([part @ (row @ weights) for row in rows(gaps)])
+        for block in _row_blocks(len(points)):
+            totals += np.array([weights[block] @ (row @ weights)
+                                for row in rows(_squared_gaps(points[block], points))])
         return totals - self.n * rows(np.ones(1))[:, 0]
 
 
@@ -576,13 +585,22 @@ def trophic_loglik(graph: DirectedGraph, params: TrophicParams) -> float:
 
 
 def trophic_sample(params: TrophicParams, seed) -> DirectedGraph:
-    """Draw a graph with one independent Bernoulli edge per ordered pair."""
+    """Draw a graph with one independent Bernoulli edge per ordered pair.
+
+    The pairs are consumed in row-major order, one block of rows at a time
+    (_blocked_sample), each through the expected-count row of _level_rows,
+    so no array spans all pairs.
+    """
     h = params.h
-    n = len(h)
-    prob = _edge_prob(params.gamma * _level_penalty(h))
-    u = np.random.default_rng(seed).random((n, n))
-    adj = (u < prob) & ~np.eye(n, dtype=bool)
-    return DirectedGraph(n, np.argwhere(adj))
+    prob = _level_rows(params.gamma, expected=True, derivatives=False)
+
+    def block_edges(rows: slice, rng: np.random.Generator) -> np.ndarray:
+        gaps = _squared_gaps(h[rows], h)
+        adj = rng.random(gaps.shape) < prob(gaps)[0]
+        np.fill_diagonal(adj[:, rows], False)         # no self-loops
+        return np.argwhere(adj) + (rows.start, 0)
+
+    return _blocked_sample(len(h), seed, block_edges)
 
 
 def trophic_expected_edges(h, gamma: float) -> float:

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dirlap import DirectedGraph, parse_edge_list
-from dirlap.cli import MAX_GRID_POINTS, main
+from dirlap import (DirectedGraph, TrophicParams, gen_trophic_levels,
+                    parse_edge_list, trophic_loglik, trophic_sample)
+from dirlap.cli import LOGLIK_FMT, MAX_GRID_POINTS, main
 from helpers import random_graph
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -344,6 +345,28 @@ class TestGoldenBundle:
             assert got[0] == want[0] and [r[0] for r in got] == [r[0] for r in want]
             np.testing.assert_allclose([float(r[1]) for r in got[1:]],
                                        [float(r[1]) for r in want[1:]], rtol=0, atol=1e-9)
+
+
+class TestGoldenGenerate:
+    """``generate``'s three files for each model against fixtures/golden,
+    written from the repository root by
+
+        dirlap generate --model MODEL --clusters 3 --cluster-size 8 \\
+            --noise 0.2 --gamma 3 --seed 7 \\
+            --out tests/fixtures/golden/generate_MODEL.edges
+
+    when each sampler still held an array over all pairs; the blocked
+    samplers must draw the same graphs."""
+
+    @pytest.mark.parametrize("model", ["prdrg", "trophic"])
+    def test_files_match_golden(self, tmp_path, model):
+        name = f"generate_{model}.edges"
+        assert run("generate", "--model", model, "--clusters", 3, "--cluster-size", 8,
+                   "--noise", 0.2, "--gamma", 3, "--seed", 7,
+                   "--out", tmp_path / name) == 0
+        for suffix in ("", ".meta", ".attributes.csv"):
+            assert ((tmp_path / (name + suffix)).read_bytes()
+                    == (GOLDEN / (name + suffix)).read_bytes()), suffix
 
 
 class TestCsvLabels:
@@ -732,6 +755,54 @@ class TestCurveCommand:
         short.write_text("label,value\n0,1.0\n")
         assert run("curve", "--input", graph_file, "--model", "trophic",
                    "--attributes", short, "--out", tmp_path / "c.csv") == 1
+
+    def test_repeated_label_refused(self, tmp_path, capsys):
+        edges, attrs = tmp_path / "g.edges", tmp_path / "a.csv"
+        edges.write_text("a b\nb c\nc a\n")
+        attrs.write_text("a,0\nb,1\nc,2\nc,5\n")
+        assert run("curve", "--input", edges, "--model", "trophic",
+                   "--attributes", attrs, "--out", tmp_path / "c.csv") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error [attributes]:"), err
+        assert "'c'" in err[0]
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_generated_isolated_nodes_are_read(self, tmp_path, capsys):
+        # at gamma = 20 this sample leaves a node without edges: the edge
+        # list cannot show it, and the attributes file lists it
+        out = tmp_path / "g.edges"
+        assert run("generate", "--model", "trophic", "--clusters", 3,
+                   "--cluster-size", 3, "--gamma", 20, "--seed", 0, "--out", out) == 0
+        capsys.readouterr()
+        curve = tmp_path / "curve.csv"
+        assert run("curve", "--input", out, "--model", "trophic", "--attributes",
+                   Path(str(out) + ".attributes.csv"), "--out", curve) == 0
+        notices = [line for line in capsys.readouterr().err.splitlines()
+                   if "isolated" in line]
+        assert len(notices) == 1 and notices[0].startswith("notice: read 1 ")
+        # the graph generate drew, by the same seeds
+        attr_seed, edge_seed = np.random.SeedSequence(0).spawn(2)
+        h = gen_trophic_levels(3, 3, 0.0, attr_seed)
+        sampled = trophic_sample(TrophicParams(h, 20.0), edge_seed)
+        assert sampled.n == 9 and parse_edge_list(out.read_text()).graph.n == 8
+        rows = [row.split(",") for row in curve.read_text().splitlines()[1:]]
+        grid = np.geomspace(1e-3, 50.0, 64)
+        assert len(rows) == len(grid)
+        for gamma, row in zip(grid, rows):
+            assert row[1] == LOGLIK_FMT % trophic_loglik(sampled, TrophicParams(h, gamma))
+
+    def test_density_range_printed_exactly(self, tmp_path, capsys):
+        # the expected count at gamma = 1e-6 is 3 - 4.5e-6, so 3 is out of
+        # range, and the printed bounds must say so
+        edges, attrs = tmp_path / "g.edges", tmp_path / "a.csv"
+        edges.write_text("a b\nb c\nc a\n")
+        attrs.write_text("a,0\nb,1\nc,2\n")
+        assert run("curve", "--input", edges, "--model", "trophic",
+                   "--attributes", attrs, "--out", tmp_path / "c.csv") == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "observed edge count 3 outside" in err[0], err
+        lower, upper = map(float, err[0].rpartition("[")[2].rstrip("]").split(", "))
+        assert not lower <= 3 <= upper
 
 
 class TestGenerateCompareWorkflow:

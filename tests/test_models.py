@@ -13,11 +13,12 @@ from dirlap import (DirectedGraph, KernelModel, NumericalError, PRDRGParams,
                     gen_clustered_angles, gen_trophic_levels, kernel_loglik,
                     magnetic_algorithm, parse_edge_list, prdrg_expected_edges,
                     prdrg_loglik, prdrg_pair_probs, prdrg_sample,
-                    quadratic_form, symmetrize, trophic_algorithm,
+                    quadratic_form, serialize_edge_list, symmetrize,
+                    trophic_algorithm,
                     trophic_edge_prob, trophic_expected_edges,
                     trophic_loglik, trophic_sample, weighted_trophic_logdensity)
 from dirlap.models import (_chebyshev_points, _level_rows, _LevelModel,
-                           _LevelPairSums, _observed_excess, _PairModel,
+                           _LevelPairSums, _observed_excess, _pair_rows, _PairModel,
                            _WeightedLevelModel, make_prdrg_loglik,
                            make_trophic_loglik)
 from helpers import (adjacency, barycentric_level_weights, block_cycle_graph,
@@ -126,6 +127,15 @@ class TestPairProbs:
         probs = prdrg_pair_probs(0.0, np.pi, 50.0, 0.5)
         assert all(np.isfinite(probs))
         assert abs(sum(probs) - 1.0) <= 1e-12
+
+    def test_expected_count_is_the_pair_sums_row(self):
+        # 2f + q + l of one pair is the term the expected-count pair sum adds
+        rng = np.random.default_rng(8)
+        for _ in range(100):
+            beta, gamma, g = rng.uniform(-TWO_PI, TWO_PI), rng.uniform(0, 50), rng.uniform(0, 0.5)
+            f, q, l, _ = prdrg_pair_probs(beta, 0.0, gamma, g)
+            row = _pair_rows(gamma, g, expected=True, derivatives=False)(np.array([beta]))
+            assert 2 * f + q + l == pytest.approx(row[0, 0], rel=1e-13)
 
 
 class TestPrdrgLoglik:
@@ -373,6 +383,43 @@ class TestTrophicLoglik:
                 ours = trophic_loglik(graph, TrophicParams(h, gamma))
                 oracle = naive_trophic_loglik(graph, h, gamma)
                 assert ours == pytest.approx(oracle, rel=1e-10)
+
+
+class TestSamplerMemory:
+    """At n = 3000 (five clusters of 600, as ``generate --clusters 5
+    --cluster-size 600`` draws) the samplers work one block of rows at a
+    time and the edge list is written a column at a time, so each peak is
+    a few copies of the edge arrays, not an array over all pairs.  Measured:
+    78, 26 and 98 MiB; an array per pair took 549, 172 and 379 MiB."""
+
+    @staticmethod
+    def traced(fn):
+        tracemalloc.start()
+        try:
+            return fn(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.fixture(scope="class")
+    def pair_sample(self):
+        theta = gen_clustered_angles(5, 600, 0.2, 1)
+        return self.traced(lambda: prdrg_sample(PRDRGParams(theta, 5.0, 0.2), 2))
+
+    def test_pair_sampler(self, pair_sample):
+        graph, peak = pair_sample
+        assert graph.edge_count > 1_700_000
+        assert peak <= 160 * 2**20
+
+    def test_level_sampler(self):
+        h = gen_trophic_levels(5, 600, 0.2, 1)
+        graph, peak = self.traced(lambda: trophic_sample(TrophicParams(h, 5.0), 2))
+        assert graph.edge_count > 700_000
+        assert peak <= 80 * 2**20
+
+    def test_edge_list_writer(self, pair_sample):
+        text, peak = self.traced(lambda: serialize_edge_list(pair_sample[0]))
+        assert text.count("\n") == pair_sample[0].edge_count
+        assert peak <= 200 * 2**20
 
 
 class TestTrophicSampler:
