@@ -321,6 +321,18 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _is_header(row: list[str]) -> bool:
+    """A first row `label,...` names the columns unless its second field
+    is a number: then it is the value of a node named `label`."""
+    if row[0].strip().lower() != "label":
+        return False
+    try:
+        float(row[1])
+    except (IndexError, ValueError):
+        return True
+    return False
+
+
 def _read_attributes(path: Path, graph: DirectedGraph,
                      model: str) -> tuple[DirectedGraph, np.ndarray]:
     """The graph and one attribute value per node.  An edge list cannot
@@ -335,7 +347,7 @@ def _read_attributes(path: Path, graph: DirectedGraph,
                 if any(field.strip() for field in row)]
     except csv.Error as exc:
         raise _StageError("attributes", f"unreadable CSV: {exc}", EXIT_INPUT) from exc
-    if rows and rows[0][0].strip().lower() == "label":
+    if rows and _is_header(rows[0]):
         rows = rows[1:]
     kind, limit, why = ATTRIBUTE_LIMITS[model]
     values: dict[str, float] = {}

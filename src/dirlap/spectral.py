@@ -29,13 +29,13 @@ _EIGENVALUE_GAP = 1e-10
 # matrix; below it a dense solve for the two lowest pairs (README, "Bottom
 # eigenpair").  Tolerances are relative to the Gershgorin bound on the
 # spectral radius, twice the largest degree.
-_LOBPCG_MIN_NODES = 250
-_LOBPCG_BLOCK = 3           # Ritz pairs carried: the bottom pair and one helper
+_LOBPCG_MIN_NODES = 220
+_LOBPCG_BLOCK = 2           # Ritz pairs carried: the bottom pair and its certifier
 _LOBPCG_TOL = 1e-14         # residual norm asked of the bottom vector
-_LOBPCG_ACCEPT = 1e-11      # largest residual norm accepted without the dense path
-_LOBPCG_TIE_MARGIN = 1e-6   # closer Ritz values may be a tie: the dense path decides
+_LOBPCG_ACCEPT = 1e-11      # largest bottom residual accepted without the dense path
+_LOBPCG_TIE_MARGIN = 1e-6   # least certified gap: below it the dense path decides
 _LOBPCG_MAXITER = 500
-_LOBPCG_STALL = 20          # steps the bottom pair's residual may take to halve
+_LOBPCG_STALL = 30          # steps the bottom residual may take to halve
 _LOBPCG_PIVOT = 1e-8        # smallest Cholesky pivot of a usable basis Gram
 _LOBPCG_SEED = 0            # fixed start block, so a g's phases depend on g alone
 
@@ -151,7 +151,7 @@ def smallest_eigenpair(lap: MagneticLaplacian) -> tuple[float, np.ndarray]:
     smallest eigenvalue is tied within 1e-10 the last eigenvector of the
     tied group is returned and a DegeneracyWarning is emitted.
 
-    Only the bottom of the spectrum is computed: by LOBPCG from 250 nodes
+    Only the bottom of the spectrum is computed: by LOBPCG from 220 nodes
     on, otherwise (and whenever LOBPCG does not certify its answer) by a
     dense solve for the two lowest pairs, widened to the full spectrum
     only when those two are tied.
@@ -171,24 +171,32 @@ def smallest_eigenpair(lap: MagneticLaplacian) -> tuple[float, np.ndarray]:
 
 def _lobpcg_pair(matrix: csr_matrix) -> tuple[float, np.ndarray] | None:
     """Bottom pair by LOBPCG, or None when the result is not certified: a
-    residual above tolerance or two Ritz values within the tie margin.
+    bottom residual above tolerance, or a second Ritz value that may lie
+    within the tie margin of the first.
 
-    Block LOBPCG (Knyazev, SIAM J. Sci. Comput. 23(2), 2001) with a Jacobi
-    preconditioner.  Each step multiplies the matrix into the
-    preconditioned residuals W alone; A X and A P are carried along.  The
-    Cholesky factor of the Gram of [X, W, P] orthonormalizes [W, P]
-    against X, and P is dropped for a step when that factor fails.  The
-    run stops once the bottom residual meets _LOBPCG_TOL and the second,
-    which only certifies that the bottom is simple, a tenth of
-    _LOBPCG_ACCEPT; or once the larger of the two, each as a multiple of
-    its own target, has not halved within _LOBPCG_STALL steps.  The check
-    below then accepts or refuses what it has.
+    Block LOBPCG (Knyazev, SIAM J. Sci. Comput. 23(2), 2001) on the two
+    lowest pairs, with a Jacobi preconditioner.  Each step multiplies the
+    matrix into the preconditioned residuals W alone; A X and A P are
+    carried along.  The Cholesky factor of the Gram of [X, W, P]
+    orthonormalizes [W, P] against X, and P is dropped for a step when
+    that factor fails.  The second pair only certifies that the bottom is
+    simple: its Ritz value less its residual must lie more than the tie
+    margin above the bottom one.  The run stops once the bottom residual
+    meets _LOBPCG_TOL and that certificate holds; or once the bottom
+    residual has neither halved nor its value left the anchor's interval
+    (value less residual) within _LOBPCG_STALL steps.  The check below then
+    accepts or refuses what it has.
     """
     diagonal = matrix.diagonal().real
     # every row of |L| sums to twice its degree
     scale = 2.0 * float(diagonal.max())
     if scale == 0.0:
         return None
+
+    def certified(values, norms, bar):
+        return (norms[0] <= bar * scale
+                and values[1] - values[0] - norms[1] > _LOBPCG_TIE_MARGIN * scale)
+
     n, k = matrix.shape[0], _LOBPCG_BLOCK
     jacobi = 1.0 / np.where(diagonal > 0.0, diagonal, 1.0)[:, None]
     rng = np.random.default_rng(_LOBPCG_SEED)
@@ -200,17 +208,14 @@ def _lobpcg_pair(matrix: csr_matrix) -> tuple[float, np.ndarray] | None:
     values, coefficients = ritz
     x, ax = x @ coefficients, ax @ coefficients
     p = ap = None
-    targets = (_LOBPCG_TOL * scale) ** 2, (0.1 * _LOBPCG_ACCEPT * scale) ** 2
-    anchor, anchor_step = np.inf, 0
+    anchor, floor, anchor_step = np.inf, np.inf, 0
     for step in range(_LOBPCG_MAXITER):
         residual = ax - x * values
-        # squared residual norms over their squared targets
-        excess = max(np.vdot(r, r).real / target
-                     for r, target in zip(residual[:, :2].T, targets))
-        if excess <= 1.0:
+        norms = np.linalg.norm(residual, axis=0)
+        if certified(values, norms, _LOBPCG_TOL):
             break
-        if excess < 0.25 * anchor:
-            anchor, anchor_step = excess, step
+        if norms[0] < 0.5 * anchor or values[0] < floor:
+            anchor, floor, anchor_step = norms[0], values[0] - norms[0], step
         elif step - anchor_step >= _LOBPCG_STALL:
             break
         w = jacobi * residual
@@ -230,11 +235,9 @@ def _lobpcg_pair(matrix: csr_matrix) -> tuple[float, np.ndarray] | None:
         update[:k, k:] = 0.0
         xp, axp = basis @ update, image @ update
         x, p, ax, ap = xp[:, :k], xp[:, k:], axp[:, :k], axp[:, k:]
-    vectors = x[:, :2] / np.linalg.norm(x[:, :2], axis=0)
-    values = values[:2]
+    vectors = x / np.linalg.norm(x, axis=0)
     residuals = np.linalg.norm(matrix @ vectors - vectors * values, axis=0)
-    if (residuals.max() > _LOBPCG_ACCEPT * scale
-            or values[1] - values[0] <= _LOBPCG_TIE_MARGIN * scale):
+    if not certified(values, residuals, _LOBPCG_ACCEPT):
         return None
     return float(values[0]), vectors[:, 0]
 

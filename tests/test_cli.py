@@ -12,7 +12,7 @@ import pytest
 
 from dirlap import (DirectedGraph, TrophicParams, gen_trophic_levels,
                     parse_edge_list, trophic_loglik, trophic_sample)
-from dirlap.cli import LOGLIK_FMT, MAX_GRID_POINTS, main
+from dirlap.cli import GAMMA_FMT, LOGLIK_FMT, MAX_GRID_POINTS, main
 from helpers import random_graph
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -766,6 +766,38 @@ class TestCurveCommand:
         assert len(err) == 1 and err[0].startswith("error [attributes]:"), err
         assert "'c'" in err[0]
         assert not (tmp_path / "c.csv").exists()
+
+    def test_node_named_label_is_not_a_header(self, tmp_path):
+        # a first row `label,0` is the value of the node `label`
+        edges, attrs = tmp_path / "g.edges", tmp_path / "a.csv"
+        edges.write_text("label b\nb c\nc label\n")
+        attrs.write_text("label,0\nb,1\nc,2\n")
+        out = tmp_path / "c.csv"
+        assert run("curve", "--input", edges, "--model", "trophic",
+                   "--attributes", attrs, "--out", out) == 0
+        graph = parse_edge_list(edges.read_text()).graph
+        assert [graph.label(i) for i in range(3)] == ["label", "b", "c"]
+        rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+        grid = np.geomspace(1e-3, 50.0, 64)
+        assert len(rows) == len(grid)
+        for gamma, row in zip(grid, rows):
+            assert row[0] == GAMMA_FMT % gamma
+            assert row[1] == LOGLIK_FMT % trophic_loglik(
+                graph, TrophicParams(np.array([0.0, 1.0, 2.0]), gamma))
+
+    @pytest.mark.parametrize("header", ["label,value", "Label,level", "label"])
+    def test_header_row_is_skipped(self, tmp_path, header):
+        edges, attrs = tmp_path / "g.edges", tmp_path / "a.csv"
+        edges.write_text("a b\nb c\nc a\n")
+        attrs.write_text("a,0\nb,1\nc,2\n")
+        plain = tmp_path / "plain.csv"
+        assert run("curve", "--input", edges, "--model", "trophic",
+                   "--attributes", attrs, "--out", plain) == 0
+        attrs.write_text(f"{header}\na,0\nb,1\nc,2\n")
+        out = tmp_path / "c.csv"
+        assert run("curve", "--input", edges, "--model", "trophic",
+                   "--attributes", attrs, "--out", out) == 0
+        assert out.read_bytes() == plain.read_bytes()
 
     def test_generated_isolated_nodes_are_read(self, tmp_path, capsys):
         # at gamma = 20 this sample leaves a node without edges: the edge

@@ -648,8 +648,9 @@ class TestBlockLobpcg:
 
     @pytest.mark.parametrize("name", sorted(MIDSIZE_GRAPHS) + sorted(LARGE_GRAPHS))
     def test_accepted_solves_meet_the_residual_bar(self, name):
-        # the stop asks the second residual for a tenth of the bar only; the
-        # last product is the check's, of the two normalized bottom vectors
+        # the last product is the check's, of the two normalized Ritz
+        # vectors: the bottom residual meets the bar, and the second Ritz
+        # value less its residual clears the bottom one by the tie margin
         graph = {**MIDSIZE_GRAPHS, **LARGE_GRAPHS}[name]()
         sym = symmetrize(graph)
         for g in DEFAULT_G_CANDIDATES:
@@ -662,7 +663,9 @@ class TestBlockLobpcg:
             np.testing.assert_array_equal(vectors[:, 0], certified[1])
             values = np.einsum("ij,ij->j", vectors.conj(), image).real
             residuals = np.linalg.norm(image - vectors * values, axis=0)
-            assert residuals.max() <= spectral._LOBPCG_ACCEPT * spectral_scale(lap)
+            scale = spectral_scale(lap)
+            assert residuals[0] <= spectral._LOBPCG_ACCEPT * scale
+            assert values[1] - values[0] - residuals[1] > spectral._LOBPCG_TIE_MARGIN * scale
 
     @staticmethod
     def generated_level_graph(folder, seed):
@@ -702,6 +705,42 @@ class TestBlockLobpcg:
         sym = symmetrize(graph)
         for g in DEFAULT_G_CANDIDATES:
             assert_certified_matches_full_dense(build_magnetic_laplacian(sym, g))
+
+    @staticmethod
+    def deep_line_95(blocks, size, seed):
+        # 95 % of the edges run forward along a line of blocks: the bottom
+        # residual plateaus for tens of steps before it converges
+        return largest_wcc(block_cycle_graph(np.random.default_rng(seed), blocks, size,
+                                             forward_share=0.95, cyclic=False))[0]
+
+    def test_plateau_on_a_long_line_converges(self):
+        graph = self.deep_line_95(30, 300, 0)
+        assert graph.n == 9000
+        sym = symmetrize(graph)
+        for g in DEFAULT_G_CANDIDATES:
+            lap = build_magnetic_laplacian(sym, g)
+            certified = spectral._lobpcg_pair(lap.matrix)
+            assert certified is not None, f"g={g}: LOBPCG fell back"
+            value, vec = certified
+            residual = np.linalg.norm(lap.matrix @ vec - value * vec)
+            assert residual <= 1e-11 * spectral_scale(lap)
+
+    @pytest.mark.slow
+    def test_line_certified_against_full_dense(self):
+        graph = self.deep_line_95(30, 34, 0)
+        assert graph.n == 1020
+        sym = symmetrize(graph)
+        for g in DEFAULT_G_CANDIDATES:
+            assert_certified_matches_full_dense(build_magnetic_laplacian(sym, g))
+
+    @pytest.mark.parametrize("seed", [4, 7])
+    def test_bottom_pair_certified_in_few_steps(self, seed):
+        # the second pair is asked only to clear the tie margin, not to
+        # converge: the former stop rule took 101 and 105 products here
+        graph = largest_scc(block_cycle_graph(np.random.default_rng(seed), 5, 200))[0]
+        matrix = CountingMatrix(build_magnetic_laplacian(symmetrize(graph), 1 / 5).matrix)
+        assert spectral._lobpcg_pair(matrix) is not None
+        assert matrix.products <= 60
 
     @pytest.mark.parametrize("g", [0.2, 1 / 3])
     def test_stalled_solve_gives_up_early(self, g):
