@@ -26,8 +26,8 @@ from .inference import (GAMMA_MAX, GAMMA_MIN, ComparisonReport, ModelFit,
 from .models import (PRDRGParams, TrophicParams, _LevelModel, _PairModel,
                      _WeightedLevelModel, gen_clustered_angles,
                      gen_trophic_levels, prdrg_sample, trophic_sample)
-from .spectral import (DegeneracyWarning, NumericalError, magnetic_algorithm,
-                       trophic_algorithm)
+from .spectral import (TWO_PI, DegeneracyWarning, NumericalError,
+                       magnetic_algorithm, trophic_algorithm)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -45,6 +45,10 @@ ATTRIBUTE_LIMITS = {
     "trophic": ("level", 1e75, "its squared gaps to other levels would overflow"),
     "prdrg": ("angle", 1e6, "float spacing there no longer keeps the angle"),
 }
+
+# The largest decay rate any flag accepts: gamma times a squared level gap,
+# at most 4e150 within the limit above, or an angle exponent stays finite.
+GAMMA_LIMIT = 1e100
 
 LOGLIK_FMT = "%.5e"   # 6 significant digits for likelihood-scale values
 GAMMA_FMT = "%.6g"
@@ -101,7 +105,8 @@ def _number(convert, zero_allowed: bool, limit: float = math.inf):
             value = convert(token)
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad number {token!r}") from None
-        if not (math.isfinite(value) and (value >= 0 if zero_allowed else value > 0)):
+        # abs(value) < inf, unlike math.isfinite, takes an int of any size
+        if not (abs(value) < math.inf and (value >= 0 if zero_allowed else value > 0)):
             raise argparse.ArgumentTypeError(f"{token} is not a finite number {bound}")
         if value > limit:
             raise argparse.ArgumentTypeError(f"{token} exceeds the limit of {limit}")
@@ -295,6 +300,16 @@ def cmd_reorder(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    nodes = args.clusters * args.cluster_size
+    if nodes > np.iinfo(np.intp).max // 8:      # bytes of n float64 attributes
+        raise _StageError("arguments", f"no array holds {nodes} nodes", EXIT_INPUT)
+    # what curve refuses: each angle lies within noise of a center in
+    # [0, 2*pi), each level within noise of one in [1, clusters]
+    kind, limit, why = ATTRIBUTE_LIMITS[args.model]
+    reach = (TWO_PI if args.model == "prdrg" else args.clusters) + args.noise
+    if reach > limit:
+        raise _StageError("arguments", f"{kind}s could reach {reach:g}, past "
+                          f"{limit:g}: {why}", EXIT_INPUT)
     attr_seed, edge_seed = np.random.SeedSequence(args.seed).spawn(2)
     meta = {"model": args.model, "clusters": args.clusters,
             "cluster_size": args.cluster_size, "noise": repr(args.noise),
@@ -417,8 +432,10 @@ def cmd_curve(args) -> int:
 
 def _add_input(parser: argparse.ArgumentParser, weighted: bool = True):
     parser.add_argument("--input", type=Path, required=True, help="edge-list file")
-    parser.add_argument("--gamma-min", type=_number(float, False), default=GAMMA_MIN)
-    parser.add_argument("--gamma-max", type=_number(float, False), default=GAMMA_MAX)
+    parser.add_argument("--gamma-min", type=_number(float, False, GAMMA_LIMIT),
+                        default=GAMMA_MIN)
+    parser.add_argument("--gamma-max", type=_number(float, False, GAMMA_LIMIT),
+                        default=GAMMA_MAX)
     if weighted:
         parser.add_argument("--weighted", action="store_true",
                             help="parse a third column as edge weights in (0, 1)")
@@ -460,7 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--clusters", type=_number(int, False), required=True)
     generate.add_argument("--cluster-size", type=_number(int, False), required=True)
     generate.add_argument("--noise", type=_number(float, True), default=0.0)
-    generate.add_argument("--gamma", type=_number(float, True), required=True)
+    generate.add_argument("--gamma", type=_number(float, True, GAMMA_LIMIT),
+                          required=True)
     generate.add_argument("--g", type=_rotation, default=None,
                           help="rotation parameter (prdrg); default 1/clusters")
     generate.add_argument("--seed", type=_number(int, True), default=0)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix, diags
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 
@@ -503,19 +503,17 @@ class SymmetrizedView:
         return len(self.degrees)
 
     def laplacian(self, off_diagonal: np.ndarray) -> csr_matrix:
-        """diag(degrees) - M as CSR, M being ``wsym``'s pattern holding
-        ``off_diagonal`` (aligned with ``wsym.data``).
+        """The sparse sum diag(degrees) - M as CSR, M being ``wsym``'s
+        pattern holding ``off_diagonal`` (aligned with ``wsym.data``).
 
-        The pattern, diagonal included, is built once per view; each call
-        only fills its data.  The entries are those of the sparse sum
-        ``diags(degrees) - M``: an entry v of M is stored as 0 - v, and a
-        node of degree 0 stores no diagonal entry.
+        The sum drops zero results, so a node of degree 0 stores no
+        diagonal entry.
         """
-        indices, indptr, diagonal, entries = self._laplacian_pattern
-        data = np.empty(len(indices), np.result_type(off_diagonal, self.degrees))
-        data[diagonal] = self.degrees[indices[diagonal]]
-        data[entries] = 0.0 - off_diagonal
-        return csr_matrix((data, indices, indptr), shape=(self.n, self.n))
+        n, wsym = self.n, self.wsym
+        # in wsym's index dtype, which the constructor takes without a scan
+        steps = np.arange(n + 1, dtype=wsym.indptr.dtype)
+        return (csr_matrix((self.degrees, steps[:-1], steps), shape=(n, n))
+                - csr_matrix((off_diagonal, wsym.indices, wsym.indptr), shape=(n, n)))
 
     @functools.cached_property
     def _distinct_alpha(self) -> tuple[np.ndarray, np.ndarray]:
@@ -525,26 +523,6 @@ class SymmetrizedView:
         values.setflags(write=False)
         slot.setflags(write=False)
         return values, slot
-
-    @functools.cached_property
-    def _laplacian_pattern(self) -> tuple[np.ndarray, ...]:
-        """(indices, indptr, diagonal, entries): ``wsym``'s CSR pattern with
-        a diagonal entry added in every row of nonzero degree, the slots of
-        those diagonal entries, and the slots of ``wsym``'s entries.
-
-        One sparse sum lays the pattern out: ``wsym``'s entries, marked
-        1, 2, ... in CSR order, minus 1 on those diagonal slots.  Both
-        terms have sorted indices and ``wsym`` no diagonal entry, so the
-        marks keep their order and the signs tell the two kinds apart.
-        """
-        marked = csr_matrix((np.arange(1.0, self.wsym.nnz + 1), self.wsym.indices,
-                             self.wsym.indptr), shape=self.wsym.shape)
-        summed = marked - diags((self.degrees != 0).astype(float))
-        pattern = (summed.indices, summed.indptr,
-                   np.flatnonzero(summed.data < 0), np.flatnonzero(summed.data > 0))
-        for arr in pattern:
-            arr.setflags(write=False)
-        return pattern
 
 
 def _freeze_csr(mat: csr_matrix) -> None:

@@ -47,8 +47,8 @@ def _decreasing_root(probe: Callable[[float], list], lo: float, hi: float,
     for _ in range(_MAX_STEPS):
         scaled_slope = y + x * slope        # of gamma * y, at x
         new = x - x * y / scaled_slope if scaled_slope < 0 else hi
-        if not lo < new < hi:               # bisect in log gamma
-            new = math.sqrt(lo * hi)
+        if not lo < new < hi:   # bisect in log gamma; lo * hi may underflow
+            new = math.sqrt(lo * hi) or math.sqrt(lo) * math.sqrt(hi)
         if abs(new - x) <= atol + rtol * x:
             return new
         x = new

@@ -120,9 +120,9 @@ def frustration(sym: SymmetrizedView, theta, g: float) -> float:
 def build_magnetic_laplacian(sym: SymmetrizedView, g: float) -> MagneticLaplacian:
     """Assemble diag(degrees) - transporter o wsym for the given rotation g.
 
-    The result is CSR on the view's Laplacian pattern, built once per view.
-    The transporter is evaluated once per distinct value of alpha and
-    looked up for each stored entry of ``wsym``.
+    The result is the view's sparse sum, CSR.  The transporter is
+    evaluated once per distinct value of alpha and looked up for each
+    stored entry of ``wsym``.
     """
     g = _check_rotation(g)
     alphas, slot = sym._distinct_alpha

@@ -57,7 +57,7 @@ def reference_symmetrize(graph: DirectedGraph) -> SymmetrizedView:
 def reference_magnetic_laplacian(sym: SymmetrizedView, g: float) -> csr_matrix:
     """diag(degrees) - transporter o wsym by a sparse sum, with the
     transporter exp(-2*pi*g*alpha*1j) taken entry by entry: the oracle for
-    the pattern fill in dirlap.build_magnetic_laplacian."""
+    the build in dirlap.build_magnetic_laplacian."""
     transporter = np.exp(-1j * 2.0 * np.pi * g * sym.alpha.data)
     off_diagonal = csr_matrix((-(transporter * sym.wsym.data), sym.wsym.indices,
                                sym.wsym.indptr), shape=sym.wsym.shape)

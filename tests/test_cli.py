@@ -12,7 +12,7 @@ import pytest
 
 from dirlap import (DirectedGraph, TrophicParams, gen_trophic_levels,
                     parse_edge_list, trophic_loglik, trophic_sample)
-from dirlap.cli import GAMMA_FMT, LOGLIK_FMT, MAX_GRID_POINTS, main
+from dirlap.cli import GAMMA_FMT, GAMMA_LIMIT, LOGLIK_FMT, MAX_GRID_POINTS, main
 from helpers import random_graph
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -255,6 +255,50 @@ class TestArgumentErrors:
             args = args + ["--clusters", 2, "--cluster-size", 3,
                            "--out", tmp_path / "g.edges"]
         self.refused(capsys, *args)
+
+    # gamma * q must stay finite for every squared level gap q that curve
+    # accepts, so each decay-rate flag stops at GAMMA_LIMIT
+    @pytest.mark.parametrize("args", [
+        ["generate", "--model", "prdrg", "--gamma", "1e308"],
+        ["generate", "--model", "trophic", "--gamma", "1e308"],
+        ["generate", "--model", "trophic", "--gamma", "1.000001e100"],
+        ["curve", "--input", "missing.edges", "--model", "trophic",
+         "--attributes", "a.csv", "--out", "c.csv", "--gamma-max", "1e308"],
+        ["compare", "--input", "missing.edges", "--out-dir", "o",
+         "--gamma-min", "2e100", "--gamma-max", "3e100"],
+    ], ids=["generate-prdrg", "generate-trophic", "generate-just-past",
+            "curve-gamma-max", "compare-gamma-min"])
+    def test_gamma_beyond_limit(self, tmp_path, monkeypatch, capsys, args):
+        monkeypatch.chdir(tmp_path)
+        if args[0] == "generate":
+            args = args + ["--clusters", 3, "--cluster-size", 2, "--out", "g.edges"]
+        self.refused(capsys, *args)
+        assert not any(tmp_path.iterdir())
+
+    # every angle lies within noise of a center in [0, 2*pi), every level
+    # within noise of one in [1, clusters]; the reach is refused before
+    # anything is drawn if it passes curve's limit for the model
+    @pytest.mark.parametrize("model, noise", [
+        ("prdrg", "1e300"), ("prdrg", "1e6"), ("prdrg", "1e308"),
+        ("trophic", "1e300"), ("trophic", "2e75")])
+    def test_generate_attribute_beyond_curve_limit(self, tmp_path, capsys, model,
+                                                  noise):
+        self.refused(capsys, "generate", "--model", model, "--clusters", 3,
+                     "--cluster-size", 2, "--gamma", 0, "--noise", noise,
+                     "--out", tmp_path / "g.edges")
+        assert not any(tmp_path.iterdir())
+
+    # node counts no NumPy array can hold, refused before any is allocated
+    @pytest.mark.parametrize("clusters, size", [("9" * 20, 1), (3, "9" * 20),
+                                                ("1" + "0" * 400, 1)],
+                             ids=["clusters", "cluster-size", "past-float"])
+    @pytest.mark.parametrize("model", ["prdrg", "trophic"])
+    def test_generate_size_beyond_any_array(self, tmp_path, capsys, model, clusters,
+                                            size):
+        self.refused(capsys, "generate", "--model", model, "--clusters", clusters,
+                     "--cluster-size", size, "--gamma", 1,
+                     "--out", tmp_path / "g.edges")
+        assert not any(tmp_path.iterdir())
 
     def test_grid_points_checked_before_reading(self, tmp_path, capsys):
         # the limit is checked as the flag is parsed: no run starts at it
@@ -574,6 +618,23 @@ class TestGenerateCommand:
                 "--seed", 9, "--out", out)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("model, noise", [("prdrg", 999_990.0),
+                                              ("trophic", 1e75)])
+    def test_widest_noise_is_read_by_curve(self, tmp_path, capsys, model, noise):
+        # just inside the limit: the attributes generate writes, curve reads
+        out = tmp_path / "g.edges"
+        assert run("generate", "--model", model, "--clusters", 3, "--cluster-size", 4,
+                   "--noise", noise, "--gamma", 0, "--g", "1/3", "--out", out) == 0
+        values = np.loadtxt(str(out) + ".attributes.csv", delimiter=",", skiprows=1,
+                            usecols=1)
+        assert np.abs(values).max() > noise / 2
+        capsys.readouterr()
+        assert run("curve", "--input", out, "--model", model, "--g", "1/3",
+                   "--attributes", str(out) + ".attributes.csv",
+                   "--out", tmp_path / "c.csv") == 0
+        assert not [line for line in capsys.readouterr().err.splitlines()
+                    if not line.startswith("notice:")]
+
     def test_bad_parameters_exit_one(self, tmp_path):
         assert run("generate", "--model", "prdrg", "--clusters", 0,
                    "--cluster-size", 5, "--gamma", 1.0,
@@ -822,6 +883,24 @@ class TestCurveCommand:
         assert len(rows) == len(grid)
         for gamma, row in zip(grid, rows):
             assert row[1] == LOGLIK_FMT % trophic_loglik(sampled, TrophicParams(h, gamma))
+
+    def test_gamma_limit_with_widest_levels(self, tmp_path, capsys):
+        # the largest decay rate on the widest levels: gamma * q reaches
+        # 4e250 and stays finite (a RuntimeWarning fails the test), and a
+        # search down to 1e-300 stays inside its bounds
+        edges, attrs = tmp_path / "g.edges", tmp_path / "a.csv"
+        edges.write_text("a b\nb c\nc a\nc d\n")
+        attrs.write_text("a,1e75\nb,-1e75\nc,0\nd,5e74\n")
+        for gamma_min in ("1e-3", "1e-300"):
+            out = tmp_path / f"c{gamma_min}.csv"
+            assert run("curve", "--input", edges, "--model", "trophic",
+                       "--attributes", attrs, "--gamma-min", gamma_min,
+                       "--gamma-max", GAMMA_LIMIT, "--out", out) == 0
+            rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+            assert float(rows[-1][0]) == GAMMA_LIMIT
+            assert sum(row[2] == "1" for row in rows) == 1
+        assert all(line.startswith("notice:")
+                   for line in capsys.readouterr().err.splitlines())
 
     def test_density_range_printed_exactly(self, tmp_path, capsys):
         # the expected count at gamma = 1e-6 is 3 - 4.5e-6, so 3 is out of

@@ -73,6 +73,15 @@ class TestFitGammaMle:
         assert fit.gamma == 0.01
         assert not fit_gamma_mle(lambda g: (g, 1.0, 0.0)).at_lower_bound
 
+    def test_bisection_near_tiny_lower_bound_stays_in_range(self):
+        # a score of +1 below 1e-280 and -1 above it, with no slope: every
+        # step bisects in log gamma, and the second takes the geometric
+        # mean of 1e-300 and 7e-150, whose product underflows to 0
+        fit = fit_gamma_mle(lambda g: (0.0, 1.0 if g < 1e-280 else -1.0, 0.0),
+                            gamma_min=1e-300)
+        assert 1e-300 < fit.gamma < 50.0
+        assert not (fit.at_lower_bound or fit.at_upper_bound)
+
     def test_level_fit_on_structureless_graph_stops_at_lower_bound(self):
         # a dense directed Erdos-Renyi graph has no level structure: the
         # level-model likelihood falls from the smallest allowed gamma on

@@ -560,7 +560,7 @@ def assert_bit_equal(matrix, reference):
 
 
 class TestLaplacianPattern:
-    """The per-view pattern fill against the sparse sum it replaced."""
+    """The Laplacian build against a reference sparse sum."""
 
     @pytest.mark.parametrize("name", sorted(LARGE_GRAPHS))
     def test_large_graphs(self, name):
@@ -581,7 +581,7 @@ class TestLaplacianPattern:
                     assert_bit_equal(build_magnetic_laplacian(sym, g).matrix,
                                      reference_magnetic_laplacian(sym, g))
                 if graph.edge_count:
-                    # the level solve fills the same pattern with wsym
+                    # the level solve builds diag(degrees) - wsym
                     assert_bit_equal(sym.laplacian(sym.wsym.data),
                                      (diags(sym.degrees) - sym.wsym).tocsr())
 
