@@ -38,12 +38,9 @@ class DirectedGraph:
     sorted by source, then target, with no self-loops and no duplicates.
     ``edge_weights``, when present, is a read-only float64 array aligned
     with it, every value strictly in (0, 1).  ``labels`` preserves the
-    node names from the source file so reports can show them.
-
-    ``edges`` and ``weights`` are the same data as tuples, built on first
-    use for callers that want Python objects; computation reads the
-    arrays.  The ``reciprocated`` mask, weak connectivity and the
-    symmetrized view are likewise built once per graph, on first use.
+    node names from the source file so reports can show them.  The
+    ``reciprocated`` mask, weak connectivity and the symmetrized view are
+    built once per graph, on first use.
     """
 
     def __init__(self, n: int, edges, weights=None, labels=None):
@@ -58,16 +55,15 @@ class DirectedGraph:
             labels = tuple(labels)
             if len(labels) != n:
                 raise ValueError(f"expected {n} labels, got {len(labels)}")
+        # sorted by (i, j) only: a weight key would only order duplicates,
+        # which _check_edges rejects before any weight is read
         src, dst = idx[:, 0], idx[:, 1]
         ascending = (src[1:] > src[:-1]) | ((src[1:] == src[:-1]) & (dst[1:] >= dst[:-1]))
-        if ascending.all():
-            # sorted by (i, j) already, as the parser and subgraphs build
-            # it; ordering by weight too would only move duplicates, which
-            # are rejected below
+        if ascending.all():     # as the parser and subgraphs build it
             idx = idx.copy()
             weights = None if weights is None else weights.copy()
         else:
-            order = np.lexsort((dst, src) if weights is None else (weights, dst, src))
+            order = np.lexsort((dst, src))
             idx = idx[order]
             weights = None if weights is None else weights[order]
         _check_edges(n, idx)
@@ -112,16 +108,6 @@ class DirectedGraph:
     @property
     def edge_count(self) -> int:
         return len(self.edge_index)
-
-    @functools.cached_property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """``edge_index`` as a tuple of (source, target) int pairs."""
-        return tuple(map(tuple, self.edge_index.tolist()))
-
-    @functools.cached_property
-    def weights(self) -> tuple[float, ...] | None:
-        """``edge_weights`` as a tuple of floats, or None when unweighted."""
-        return None if self.edge_weights is None else tuple(self.edge_weights.tolist())
 
     @functools.cached_property
     def reciprocated(self) -> np.ndarray:
@@ -195,8 +181,8 @@ _CHUNK_CHARS = 1 << 19
 _PLAIN_BYTES = bytes(c for c in range(0x21, 0x7F) if chr(c) not in "#%") + b" \t\n"
 
 
-def parse_edge_list(text: str | Iterable[str], weighted: bool = False) -> ParseResult:
-    """Parse a newline-delimited edge list into a :class:`DirectedGraph`.
+def parse_edge_list(text: str, weighted: bool = False) -> ParseResult:
+    """Parse the text of an edge list into a :class:`DirectedGraph`.
 
     Each data line is ``src dst`` (plus a weight column in weighted mode),
     whitespace separated.  Lines starting with ``#`` or ``%`` and blank
@@ -209,17 +195,14 @@ def parse_edge_list(text: str | Iterable[str], weighted: bool = False) -> ParseR
 
     Lines are split a chunk at a time; labels map to ids through one dict
     and the rest is array work, so no Python object is kept per edge.
-    Unweighted ``str`` text that is plain (see :func:`_scan_plain`) is
-    split ~512 kB of text at a time without cutting it into lines first;
-    any other input, or plain text that turns out not to be, goes through
-    the line scan.  Both give the same result.
+    Unweighted text that is plain (see :func:`_scan_plain`) is split
+    ~512 kB at a time without cutting it into lines first; weighted text,
+    or text that turns out not to be plain, goes through the line scan of
+    ``text.splitlines()``.  Both give the same result.
     """
-    source = text if isinstance(text, str) else list(text)
-    scanned = None
-    if isinstance(source, str) and not weighted:
-        scanned = _scan_plain(source)
+    scanned = None if weighted else _scan_plain(text)
     if scanned is None:
-        scanned = _scan(_lines(source), weighted)
+        scanned = _scan(text.splitlines(), weighted)
     labels, ids, weights, error, ignored = scanned
     src, dst = ids[0::2], ids[1::2]
     n = len(labels)
@@ -236,7 +219,7 @@ def parse_edge_list(text: str | Iterable[str], weighted: bool = False) -> ParseR
             row = int(nonloop[repeats.min()])
             error = (row, f"duplicate edge {labels[src[row]]} -> {labels[dst[row]]}")
     if error is not None:
-        raise EdgeListError(error[1], _line_number(_lines(source), error[0]))
+        raise EdgeListError(error[1], _line_number(text.splitlines(), error[0]))
     loops = len(src) - len(nonloop)
     if weighted:
         graph = DirectedGraph(n, np.column_stack((src[nonloop], dst[nonloop])),
@@ -253,10 +236,6 @@ def parse_edge_list(text: str | Iterable[str], weighted: bool = False) -> ParseR
         np.divmod(keys, max(n, 1), out=(edge_index[:, 0], edge_index[:, 1]))
         graph = DirectedGraph(n, edge_index, None, labels)
     return ParseResult(graph, loops, ignored)
-
-
-def _lines(source: str | list[str]) -> list[str]:
-    return source.splitlines() if isinstance(source, str) else source
 
 
 def _scan(lines: list[str], weighted: bool):
@@ -379,7 +358,7 @@ def _parse_weights(tokens: list[str]):
             return None, (k, f"weight {w} outside (0, 1)")
 
 
-def _line_number(lines, row: int) -> int:
+def _line_number(lines: list[str], row: int) -> int:
     """1-based number of the line holding data row ``row`` (0-based)."""
     for lineno, raw in enumerate(lines, start=1):
         tokens = raw.split()

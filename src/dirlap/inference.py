@@ -110,16 +110,17 @@ def fit_gamma_mle(objective: Callable[[float], tuple[float, float, float]],
 
 
 def fit_gamma_density(expected_edges: Callable[[float], tuple[float, float]],
-                      observed: float, gamma_min: float = 1e-6,
+                      observed: float, gamma_min: float = GAMMA_MIN,
                       gamma_max: float = GAMMA_MAX, rel_tol: float = 1e-6) -> float:
     """Decay rate at which the expected edge count matches the observed one.
 
     ``expected_edges(gamma)`` returns the expected count and its derivative
     in gamma.  The count is nonincreasing in gamma, so safeguarded Newton
-    steps (_decreasing_root) find the match on [gamma_min, gamma_max] to
-    relative tolerance ``rel_tol``.  Raises ValueError when the observed
-    count lies outside the attainable range or when the expected count does
-    not vary over the interval (no root can be isolated).
+    steps (_decreasing_root) find the match on [gamma_min, gamma_max], by
+    default the range of every other fit, to relative tolerance
+    ``rel_tol``.  Raises ValueError when the observed count lies outside
+    the range attained there or when the expected count does not vary over
+    the interval (no root can be isolated).
     """
     if not (0 < gamma_min < gamma_max):
         raise ValueError("need 0 < gamma_min < gamma_max")
@@ -173,7 +174,6 @@ class SelectGResult:
     fits: tuple[GCandidateFit, ...]
     best: GCandidateFit
     assignment: PhaseAssignment
-    gamma_fit: GammaFit
 
 
 def select_g(graph: DirectedGraph, candidates: Sequence[float] = DEFAULT_G_CANDIDATES,
@@ -187,9 +187,9 @@ def select_g(graph: DirectedGraph, candidates: Sequence[float] = DEFAULT_G_CANDI
     return _select_g(graph, candidates, gamma_min, gamma_max)[0]
 
 
-def _select_g(graph: DirectedGraph, candidates: Sequence[float],
-              gamma_min: float, gamma_max: float) -> tuple[SelectGResult, _PairModel]:
-    """The selection and the winning candidate's pair model."""
+def _select_g(graph: DirectedGraph, candidates: Sequence[float], gamma_min: float,
+              gamma_max: float) -> tuple[SelectGResult, _PairModel, GammaFit]:
+    """The selection, and the winning candidate's pair model and fit."""
     if not candidates:
         raise ValueError("need at least one candidate rotation")
     for g in candidates:
@@ -202,7 +202,7 @@ def _select_g(graph: DirectedGraph, candidates: Sequence[float],
     fits = tuple(GCandidateFit(p.g, f.gamma, f.loglik, f.at_upper_bound, f.at_lower_bound)
                  for p, f in zip(phases, gamma_fits))
     best = max(range(len(fits)), key=lambda k: (fits[k].loglik, fits[k].g))
-    return SelectGResult(fits, fits[best], phases[best], gamma_fits[best]), models[best]
+    return SelectGResult(fits, fits[best], phases[best]), models[best], gamma_fits[best]
 
 
 @dataclass(frozen=True)
@@ -267,7 +267,7 @@ def _model_fit(model, observed: int, gamma_min: float, gamma_max: float,
         try:
             density = fit_gamma_density(
                 functools.partial(model.expected_edges, derivatives=True), observed,
-                gamma_max=gamma_max)
+                gamma_min, gamma_max)
         except ValueError as exc:
             if notice is not None:
                 notice(exc)
@@ -288,10 +288,10 @@ def compare_models(graph: DirectedGraph,
         raise GraphStructureError("graph has no nodes")
     if graph.is_weighted:
         raise ValueError("model comparison is defined for unweighted graphs")
-    selection, pair_model = _select_g(graph, candidates, gamma_min, gamma_max)
+    selection, pair_model, pair_fit = _select_g(graph, candidates, gamma_min, gamma_max)
     levels = trophic_algorithm(graph)
     prdrg_fit = _model_fit(pair_model, graph.edge_count, gamma_min, gamma_max,
-                           fit=selection.gamma_fit)
+                           fit=pair_fit)
     trophic_fit = _model_fit(_LevelModel(levels.h, graph), graph.edge_count,
                              gamma_min, gamma_max)
     log_ratio = prdrg_fit.loglik_at_mle - trophic_fit.loglik_at_mle

@@ -626,40 +626,35 @@ _CURVATURE_SERIES = [(2 * k - 1) * b / math.factorial(2 * k)
                      for k, b in enumerate(_BERNOULLI, 1)][::-1]
 
 
-def _log_weight_normalizer(x: np.ndarray) -> np.ndarray:
-    """L(x) = log of (1 - exp(-x)) / x for x >= 0, with the x -> 0 limit of 0.
-
-    Below _SERIES_X it comes from its series, which keeps full relative
-    precision as x -> 0; the closed form log(-expm1(-x)) - log(x) would
-    subtract two numbers near log x there.
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = x < _SERIES_X
-    s = x[small] ** 2
-    out[small] = -0.5 * x[small] + s * np.polyval(_VALUE_SERIES, s)
-    big = x[~small]
-    out[~small] = np.log(-np.expm1(-big)) - np.log(big)
-    return out
-
-
-def _log_weight_normalizer_derivatives(x: np.ndarray):
-    """L'(x) and L''(x) of L = _log_weight_normalizer for x >= 0.
+def _log_weight_normalizer(x: np.ndarray, derivatives: bool = False):
+    """L(x) = log of (1 - exp(-x)) / x for x >= 0, with the x -> 0 limit of
+    0, or (L, L', L'') when ``derivatives`` is true.
 
     L'(x) = 1/(exp(x) - 1) - 1/x lies in [-1/2, 0) and L''(x) = 1/x^2 -
-    exp(x)/(exp(x) - 1)^2 in (0, 1/12]; near 0 both come from their series.
+    exp(x)/(exp(x) - 1)^2 in (0, 1/12].  Below _SERIES_X all three come
+    from their series, which keep full relative precision as x -> 0; the
+    closed forms, such as log(-expm1(-x)) - log(x), cancel there.
     """
     x = np.asarray(x, dtype=float)
-    slope, curvature = np.empty_like(x), np.empty_like(x)
     small = x < _SERIES_X
-    s = x[small] ** 2
-    slope[small] = -0.5 + x[small] * np.polyval(_SLOPE_SERIES, s)
-    curvature[small] = np.polyval(_CURVATURE_SERIES, s)
-    big = x[~small]
+    near, s, big = x[small], x[small] ** 2, x[~small]
+    decay_m1 = np.expm1(-big)
+
+    def split(series, closed):
+        out = np.empty_like(x)
+        out[small], out[~small] = series, closed
+        return out
+
+    value = split(-0.5 * near + s * np.polyval(_VALUE_SERIES, s),
+                  np.log(-decay_m1) - np.log(big))
+    if not derivatives:
+        return value
     decay = np.exp(-big)
-    slope[~small] = decay / -np.expm1(-big) - 1.0 / big
-    curvature[~small] = 1.0 / big ** 2 - decay / np.expm1(-big) ** 2
-    return slope, curvature
+    return (value,
+            split(-0.5 + near * np.polyval(_SLOPE_SERIES, s),
+                  decay / -decay_m1 - 1.0 / big),
+            split(np.polyval(_CURVATURE_SERIES, s),
+                  1.0 / big ** 2 - decay / decay_m1 ** 2))
 
 
 class _WeightedLevelModel:
@@ -687,11 +682,11 @@ class _WeightedLevelModel:
         gamma = _check_gamma(gamma)
         w, penalty = self.weights, self.penalty
         x = gamma * penalty
-        value = float(np.sum(-gamma * w * penalty - _log_weight_normalizer(x)))
         if not derivatives:
-            return value
-        slope, curvature = _log_weight_normalizer_derivatives(x)
-        return (value, float(np.sum(-w * penalty - penalty * slope)),
+            return float(np.sum(-gamma * w * penalty - _log_weight_normalizer(x)))
+        normalizer, slope, curvature = _log_weight_normalizer(x, derivatives=True)
+        return (float(np.sum(-gamma * w * penalty - normalizer)),
+                float(np.sum(-w * penalty - penalty * slope)),
                 float(-np.sum(np.square(penalty) * curvature)))
 
 

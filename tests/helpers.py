@@ -164,9 +164,7 @@ def exact_prdrg_loglik(graph: DirectedGraph, theta, gamma: float, g: float) -> f
     for the Fourier-space sum in dirlap.models."""
     iu, ju, logp = _pair_logprobs(theta, gamma, g)
     adj = np.zeros((graph.n, graph.n), dtype=bool)
-    if graph.edges:
-        idx = np.array(graph.edges)
-        adj[idx[:, 0], idx[:, 1]] = True
+    adj[graph.edge_index[:, 0], graph.edge_index[:, 1]] = True
     fwd, bwd = adj[iu, ju], adj[ju, iu]
     code = np.select([fwd & bwd, fwd, bwd], [0, 1, 2], default=3)
     return float(np.sum(logp[code, np.arange(len(code))]))
@@ -292,7 +290,7 @@ def reference_parse_edge_list(text, weighted: bool = False):
     sorted list of (i, j) pairs and ``weights`` aligned with it (None when
     unweighted), or raises the EdgeListError the library must raise.
     """
-    lines = text.splitlines() if isinstance(text, str) else list(text)
+    lines = text.splitlines()
     index: dict[str, int] = {}
     plain_edges: set[tuple[int, int]] = set()
     weighted_edges: dict[tuple[int, int], float] = {}

@@ -64,7 +64,7 @@ def test_criterion_02_permutation_oracle():
     checked = 0
     for trial in range(50):
         graph = random_graph(rng, n, 0.35)
-        if not graph.edges:
+        if not graph.edge_count:
             continue
         sym = symmetrize(graph)
         g = rotations[trial % len(rotations)]
@@ -76,7 +76,7 @@ def test_criterion_02_permutation_oracle():
             theta = angle_values[list(perm)]
             h = level_values[list(perm)]
             etas[k] = frustration(sym, theta, g)
-            numerators[k] = sum((h[j] - h[i] - 1.0) ** 2 for i, j in graph.edges)
+            numerators[k] = sum((h[j] - h[i] - 1.0) ** 2 for i, j in graph.edge_index.tolist())
             angle_fn = make_prdrg_loglik(graph, theta, g)
             level_fn = make_trophic_loglik(graph, h)
             for gamma in (0.5, 1.0, 5.0):

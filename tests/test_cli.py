@@ -45,6 +45,20 @@ class TestCompareCommand:
         assert "best_g = 1/3" in report
         assert report.count("gamma_at_lower_bound = false\n") == 2
 
+    @pytest.mark.parametrize("bounds", [(1e-9, 1e-7), (2.0, 50.0)])
+    def test_density_match_stays_in_the_given_range(self, tmp_path, capsys, bounds):
+        # the food web's level-model match is at gamma = 1.36 (golden report),
+        # below the second range; neither range prints a notice about bounds
+        low, high = bounds
+        assert run("compare", "--input", FOOD_WEB, "--gamma-min", low,
+                   "--gamma-max", high, "--out-dir", tmp_path) == 0
+        assert "need 0 < gamma_min" not in capsys.readouterr().err
+        report = (tmp_path / "report.txt").read_text()
+        densities = [line.split(" = ")[1] for line in report.splitlines()
+                     if line.startswith("gamma_density = ")]
+        assert len(densities) == 2 and densities[1] == "n/a"
+        assert all(d == "n/a" or low <= float(d) <= high for d in densities)
+
     @pytest.mark.parametrize("command", [
         ["compare"],
         ["reorder", "--method", "magnetic", "--g", "1/3"],
@@ -688,6 +702,27 @@ class TestCurveCommand:
         grid = np.geomspace(1e-3, 50.0, 64)
         assert abs(math.log(marks[0]) - math.log(direct)) \
             <= math.log(grid[1] / grid[0]) * 1.01
+
+    def test_density_match_searches_the_given_range(self, tmp_path, capsys):
+        # a range wholly below 1e-6: the notice names the edge counts that
+        # range attains, not bounds the command line never gave
+        from dirlap.models import _LevelModel
+        graph_file = tmp_path / "g.edges"
+        attrs_file = Path(str(graph_file) + ".attributes.csv")
+        assert run("generate", "--model", "trophic", "--clusters", 3,
+                   "--cluster-size", 5, "--gamma", 3, "--noise", 0.2, "--seed", 1,
+                   "--out", graph_file) == 0
+        capsys.readouterr()
+        assert run("curve", "--input", graph_file, "--model", "trophic",
+                   "--attributes", attrs_file, "--gamma-min", 1e-9,
+                   "--gamma-max", 1e-7, "--out", tmp_path / "c.csv") == 0
+        err = capsys.readouterr().err
+        attrs = np.array([float(line.split(",")[1]) for line
+                          in attrs_file.read_text().splitlines()[1:]])
+        model = _LevelModel(attrs)
+        assert "need 0 < gamma_min" not in err
+        assert (f"observed edge count 29 outside the attainable range "
+                f"[{model.expected_edges(1e-7)!r}, {model.expected_edges(1e-9)!r}]") in err
 
     def test_weighted_trophic_curve(self, tmp_path):
         # weights drawn from the level model's density at gamma = 3 by

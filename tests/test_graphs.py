@@ -23,13 +23,13 @@ class TestParseEdgeList:
     def test_reciprocal_pair(self):
         result = parse_edge_list("a b\nb a\n")
         assert result.graph.n == 2
-        assert result.graph.edges == ((0, 1), (1, 0))
+        assert result.graph.edge_index.tolist() == [[0, 1], [1, 0]]
         assert result.self_loops_dropped == 0
 
     def test_self_loop_dropped_and_counted(self):
         result = parse_edge_list("a a\na b\n")
         assert result.graph.n == 2
-        assert result.graph.edges == ((0, 1),)
+        assert result.graph.edge_index.tolist() == [[0, 1]]
         assert result.self_loops_dropped == 1
 
     def test_weight_out_of_range(self):
@@ -42,11 +42,11 @@ class TestParseEdgeList:
 
     def test_comments_and_blanks_ignored(self):
         text = "# header\n% also a comment\n\na b\n"
-        assert parse_edge_list(text).graph.edges == ((0, 1),)
+        assert parse_edge_list(text).graph.edge_index.tolist() == [[0, 1]]
 
     def test_duplicate_unweighted_collapses(self):
         result = parse_edge_list("a b\na b\n")
-        assert result.graph.edges == ((0, 1),)
+        assert result.graph.edge_index.tolist() == [[0, 1]]
 
     def test_duplicate_weighted_rejected(self):
         with pytest.raises(EdgeListError, match="duplicate"):
@@ -54,7 +54,7 @@ class TestParseEdgeList:
 
     def test_extra_column_ignored_in_unweighted_mode(self):
         result = parse_edge_list("a b 0.7\n")
-        assert result.graph.edges == ((0, 1),)
+        assert result.graph.edge_index.tolist() == [[0, 1]]
         assert not result.graph.is_weighted
 
     def test_weighted_needs_weight_column(self):
@@ -68,7 +68,7 @@ class TestParseEdgeList:
     def test_labels_in_first_appearance_order(self):
         graph = parse_edge_list("z y\nx z\n").graph
         assert graph.labels == ("z", "y", "x")
-        assert graph.edges == ((0, 1), (2, 0))
+        assert graph.edge_index.tolist() == [[0, 1], [2, 0]]
 
 
 # labels hold a comma, a double quote, a '#' or '%' that starts a line only
@@ -128,11 +128,10 @@ def assert_parsers_agree(text, weighted):
 
 class TestParseOracle:
     @settings(max_examples=300, deadline=None)
-    @given(edge_list_texts(), st.booleans(), st.integers(1, 6), st.booleans())
-    def test_matches_line_by_line_parser(self, text, weighted, chunk, as_lines):
-        source = text.splitlines(keepends=True) if as_lines else text
+    @given(edge_list_texts(), st.booleans(), st.integers(1, 6))
+    def test_matches_line_by_line_parser(self, text, weighted, chunk):
         with mock.patch.object(graphs, "_CHUNK_LINES", chunk):
-            assert_parsers_agree(source, weighted)
+            assert_parsers_agree(text, weighted)
 
     @settings(max_examples=300, deadline=None)
     @given(edge_list_texts(), st.booleans(), st.integers(1, 6))
@@ -261,8 +260,7 @@ class TestPlainTextParse:
                 assert_parsers_agree(first + second, False)
         assert spy.called
 
-    @pytest.mark.parametrize("source, weighted", [
-        ("a b 0.5\n", True), (["a b\n", "c d\n"], False)])
+    @pytest.mark.parametrize("source, weighted", [("a b 0.5\n", True)])
     def test_weighted_text_and_line_lists_take_the_line_scan(self, source, weighted):
         with line_scan_spy() as spy:
             assert_parsers_agree(source, weighted)
@@ -314,12 +312,12 @@ class TestDirectedGraphInvariants:
 
     def test_edges_canonically_sorted(self):
         graph = DirectedGraph(3, ((2, 0), (0, 1)))
-        assert graph.edges == ((0, 1), (2, 0))
+        assert graph.edge_index.tolist() == [[0, 1], [2, 0]]
 
     def test_weights_follow_edge_sort(self):
         graph = DirectedGraph(3, ((2, 0), (0, 1)), weights=(0.9, 0.1))
-        assert graph.edges == ((0, 1), (2, 0))
-        assert graph.weights == (0.1, 0.9)
+        assert graph.edge_index.tolist() == [[0, 1], [2, 0]]
+        assert graph.edge_weights.tolist() == [0.1, 0.9]
 
 
 def construction_outcome(n, edges, weights):
@@ -347,31 +345,23 @@ class TestArrayConstruction:
         assert from_pairs == from_array
         expected = reference_graph_error(n, pairs, weights)
         if expected is None:
-            assert from_pairs.edges == tuple(sorted(set(pairs)))
+            assert from_pairs.edge_index.tolist() == sorted(map(list, set(pairs)))
             if weighted:
-                assert from_pairs.weights == tuple(
-                    w for _, w in sorted(zip(pairs, weights)))
+                assert from_pairs.edge_weights.tolist() == [
+                    w for _, w in sorted(zip(pairs, weights))]
         else:
             assert from_pairs == expected
 
     def test_sorts_targets_within_a_source(self):
         graph = DirectedGraph(3, np.array([[0, 2], [0, 1], [1, 0]]))
-        assert graph.edges == ((0, 1), (0, 2), (1, 0))
+        assert graph.edge_index.tolist() == [[0, 1], [0, 2], [1, 0]]
 
     def test_input_array_is_copied(self):
         idx = np.array([[1, 0], [0, 1]])
         graph = DirectedGraph(2, idx)
         idx[0, 0] = 0
-        assert graph.edges == ((0, 1), (1, 0))
+        assert graph.edge_index.tolist() == [[0, 1], [1, 0]]
         assert idx.flags.writeable and not graph.edge_index.flags.writeable
-
-    def test_tuple_views_built_on_first_use(self):
-        graph = DirectedGraph(3, np.array([[2, 0], [0, 1]]), np.array([0.9, 0.1]))
-        assert "edges" not in graph.__dict__ and "weights" not in graph.__dict__
-        assert graph.edges == ((0, 1), (2, 0)) and graph.weights == (0.1, 0.9)
-        assert graph.edges is graph.edges
-        assert all(type(i) is int for pair in graph.edges for i in pair)
-        assert not graph.edge_weights.flags.writeable
 
     def test_immutable(self):
         graph = DirectedGraph(2, ((0, 1),))
@@ -395,7 +385,7 @@ class TestEdgeIndex:
         graph = random_graph(np.random.default_rng(5), 9, 0.3)
         idx = graph.edge_index
         assert idx.dtype == np.int64 and idx.shape == (graph.edge_count, 2)
-        assert np.array_equal(idx, np.array(graph.edges))
+        assert np.array_equal(idx, np.argwhere(adjacency(graph)))
         assert graph.edge_index is idx
         with pytest.raises(ValueError):
             idx[0, 0] = 1
@@ -425,7 +415,7 @@ class TestComponents:
         sub, index_map = largest_scc(graph)
         assert index_map == (0, 1, 2)
         assert sub.n == 3
-        assert sub.edges == ((0, 1), (1, 2), (2, 0))
+        assert sub.edge_index.tolist() == [[0, 1], [1, 2], [2, 0]]
 
     def test_scc_tie_breaks_to_smallest_index(self):
         graph = DirectedGraph(4, ((0, 1), (1, 0), (2, 3), (3, 2)))
@@ -442,7 +432,7 @@ class TestComponents:
         graph = DirectedGraph(3, ((0, 1), (1, 2)))
         sub, index_map = largest_wcc(graph)
         assert index_map == (0, 1, 2)
-        assert sub.edges == graph.edges
+        assert np.array_equal(sub.edge_index, graph.edge_index)
 
     def test_wcc_tie_rule(self):
         graph = DirectedGraph(4, ((0, 1), (2, 3)))
@@ -475,7 +465,7 @@ class TestComponents:
     def test_weights_carried_through(self):
         graph = parse_edge_list("a b 0.3\nb a 0.4\nb c 0.5\n", weighted=True).graph
         sub, _ = largest_scc(graph)
-        assert sub.weights == (0.3, 0.4)
+        assert sub.edge_weights.tolist() == [0.3, 0.4]
 
     @pytest.mark.parametrize("largest", [largest_scc, largest_wcc])
     def test_whole_graph_returned_as_it_is(self, largest):
@@ -686,15 +676,15 @@ class TestRoundTrip:
             canonical = serialize_edge_list(graph)
             reparsed = parse_edge_list(canonical).graph
             assert serialize_edge_list(reparsed) == canonical
-            pairs = {(graph.label(i), graph.label(j)) for i, j in graph.edges}
+            pairs = {(graph.label(i), graph.label(j)) for i, j in graph.edge_index.tolist()}
             repairs = {(reparsed.label(i), reparsed.label(j))
-                       for i, j in reparsed.edges}
+                       for i, j in reparsed.edge_index.tolist()}
             assert pairs == repairs
 
     def test_weighted_round_trip(self):
         graph = DirectedGraph(3, ((0, 1), (1, 2)), weights=(0.25, 0.125),
                               labels=("a", "b", "c"))
         reparsed = parse_edge_list(serialize_edge_list(graph), weighted=True).graph
-        assert reparsed.edges == graph.edges
-        assert reparsed.weights == graph.weights
+        assert np.array_equal(reparsed.edge_index, graph.edge_index)
+        assert np.array_equal(reparsed.edge_weights, graph.edge_weights)
         assert reparsed.labels == graph.labels

@@ -13,6 +13,7 @@ from dirlap import (DEFAULT_G_CANDIDATES, DegeneracyWarning, DirectedGraph,
                     likelihood_curve, magnetic_algorithm, parse_edge_list,
                     prdrg_expected_edges, prdrg_sample, select_g,
                     trophic_algorithm, trophic_expected_edges, trophic_sample)
+from dirlap.inference import GAMMA_MIN
 from dirlap.models import (_LevelModel, _PairModel, make_prdrg_loglik,
                            make_trophic_loglik)
 from helpers import (block_cycle_graph, count_view_builds, dense_grid_maximizer,
@@ -188,6 +189,15 @@ class TestFitGammaDensity:
         with pytest.raises(ValueError, match="gamma_min"):
             fit_gamma_density(lambda g: (100.0 / (1.0 + g), -100.0 / (1.0 + g) ** 2),
                               50.0, gamma_min=2.0, gamma_max=1.0)
+
+    def test_default_floor_is_gamma_min(self):
+        # the floor of every other fit: a match below GAMMA_MIN is out of range
+        import inspect
+        assert inspect.signature(fit_gamma_density).parameters["gamma_min"].default \
+            == GAMMA_MIN
+        expected = lambda g: (100.0 * np.exp(-g), -100.0 * np.exp(-g))
+        with pytest.raises(ValueError, match="attainable"):
+            fit_gamma_density(expected, 100.0 * np.exp(-GAMMA_MIN / 10.0))
 
     def test_recovers_root(self):
         expected = lambda g: (100.0 * np.exp(-g), -100.0 * np.exp(-g))
@@ -399,13 +409,14 @@ class TestCompareModels:
         assert report.prdrg_fit.gamma_density is None
 
     def test_tuple_views_stay_unbuilt(self):
-        # the pipeline reads the edge arrays only: no Python object per edge
+        # the pipeline reads the edge arrays only: the graph has no tuple
+        # form, so no Python object is built per edge
         parsed = parse_edge_list(FOOD_WEB.read_text(encoding="utf-8")).graph
         sub, _ = largest_scc(parsed)
         compare_models(sub)
         for graph in (parsed, sub):
-            assert "edges" not in graph.__dict__
-            assert "weights" not in graph.__dict__
+            assert not hasattr(graph, "edges")
+            assert not hasattr(graph, "weights")
 
 
 def invariance_graphs():

@@ -415,7 +415,7 @@ class TestBruteForceAgreement:
         best_cost, best_perm = np.inf, None
         for perm in itertools.permutations(range(n)):
             h = values[list(perm)]
-            cost = sum((h[j] - h[i] - 1) ** 2 for i, j in graph.edges)
+            cost = sum((h[j] - h[i] - 1) ** 2 for i, j in graph.edge_index.tolist())
             if cost < best_cost:
                 best_cost, best_perm = cost, perm
         assert best_cost == pytest.approx(0.0, abs=1e-12)
@@ -487,8 +487,7 @@ class TestBottomEigenpairOracle:
     @staticmethod
     def two_copies(graph):
         n = graph.n
-        return DirectedGraph(2 * n, graph.edges + tuple((i + n, j + n)
-                                                        for i, j in graph.edges))
+        return DirectedGraph(2 * n, np.vstack((graph.edge_index, graph.edge_index + n)))
 
     # edgeless: nothing for LOBPCG to precondition; two directed 250-cycles:
     # LOBPCG does not converge; two copies of one random graph: it converges
@@ -771,12 +770,11 @@ def assert_equal_up_to_rotation(a, b, atol=1e-7):
 
 
 def relabelled(graph, perm):
-    return DirectedGraph(graph.n, tuple((int(perm[i]), int(perm[j]))
-                                        for i, j in graph.edges))
+    return DirectedGraph(graph.n, np.asarray(perm)[graph.edge_index])
 
 
 def reversed_graph(graph):
-    return DirectedGraph(graph.n, tuple((j, i) for i, j in graph.edges))
+    return DirectedGraph(graph.n, graph.edge_index[:, ::-1])
 
 
 def check_metamorphic(graph, g, perm):
