@@ -86,13 +86,19 @@ def _rotation(token: str) -> float:
     return value
 
 
-def _rotation_list(text: str) -> tuple[tuple[str, float], ...]:
-    """argparse type: comma-separated rotations as (label, value) pairs."""
-    candidates = tuple((token, _rotation(token))
-                       for token in filter(None, map(str.strip, text.split(","))))
-    if not candidates:
+def _rotation_list(text: str) -> dict[float, str]:
+    """argparse type: comma-separated rotations as a dict from each value to
+    its label, in the order given.  A value given twice, as ``1/2,0.5``
+    is, would be solved and reported twice, so it is refused."""
+    labels: dict[float, str] = {}
+    for token in filter(None, map(str.strip, text.split(","))):
+        value = _rotation(token)
+        if value in labels:
+            raise argparse.ArgumentTypeError(f"rotation {token} repeats {labels[value]}")
+        labels[value] = token
+    if not labels:
         raise argparse.ArgumentTypeError("empty rotation list")
-    return candidates
+    return labels
 
 
 def _number(convert, zero_allowed: bool, limit: float = math.inf):
@@ -113,13 +119,6 @@ def _number(convert, zero_allowed: bool, limit: float = math.inf):
         return value
 
     return parse
-
-
-def _g_label(candidates: tuple[tuple[str, float], ...], value: float) -> str:
-    for label, v in candidates:
-        if v == value:
-            return label
-    return GAMMA_FMT % value
 
 
 def _load_graph(path: Path, weighted: bool):
@@ -216,12 +215,12 @@ def _format_report(args, dataset: str, raw: DirectedGraph, self_loops: int,
     lines.append(f"edges = {sub.edge_count}")
     lines.append("")
     lines.append("[magnetic]")
-    lines.append(f"candidates = {', '.join(label for label, _ in args.g_list)}")
+    lines.append(f"candidates = {', '.join(args.g_list.values())}")
     for fit in report.per_g:
-        label = _g_label(args.g_list, fit.g)
+        label = args.g_list[fit.g]
         lines.append(f"gamma_mle[{label}] = {GAMMA_FMT % fit.gamma_mle}")
         lines.append(f"loglik[{label}] = {LOGLIK_FMT % fit.loglik}")
-    lines.append(f"best_g = {_g_label(args.g_list, report.best_g)}")
+    lines.append(f"best_g = {args.g_list[report.best_g]}")
     lines += _fit_lines(report.prdrg_fit)
     lines.append("")
     lines.append("[trophic]")
@@ -237,10 +236,10 @@ def cmd_compare(args) -> int:
     parsed = _load_graph(args.input, False)
     sub, _, used = _select_component(parsed.graph, args.component)
     _require_analyzable(sub)
-    report = compare_models(sub, [v for _, v in args.g_list],
+    report = compare_models(sub, list(args.g_list),
                             args.gamma_min, args.gamma_max)
     dataset = args.input.stem
-    best_g = _g_label(args.g_list, report.best_g)
+    best_g = args.g_list[report.best_g]
     out = args.out_dir
     _write(out / "report.txt",
            _format_report(args, dataset, parsed.graph, parsed.self_loops_dropped,
@@ -286,10 +285,10 @@ def cmd_reorder(args) -> int:
         if args.g is not None:
             score = magnetic_algorithm(sub, args.g).theta
         else:
-            selection = select_g(sub, [v for _, v in args.g_list],
+            selection = select_g(sub, list(args.g_list),
                                  args.gamma_min, args.gamma_max)
             print(f"notice: rotation chosen by likelihood: "
-                  f"g = {_g_label(args.g_list, selection.best.g)}", file=sys.stderr)
+                  f"g = {args.g_list[selection.best.g]}", file=sys.stderr)
             score = selection.assignment.theta
     else:
         score = trophic_algorithm(sub).h

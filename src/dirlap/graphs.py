@@ -32,8 +32,9 @@ class GraphStructureError(ValueError):
 class DirectedGraph:
     """Immutable directed graph on dense node indices 0..n-1.
 
-    ``DirectedGraph(n, edges, weights=None, labels=None)`` takes the edges
-    as a sequence of (source, target) pairs or an (m, 2) integer array.
+    ``DirectedGraph(n, edges, weights=None, labels=None)`` takes an integer
+    ``n`` and the edges as a sequence of (source, target) pairs or an
+    (m, 2) array, of integers or whole floats.
     The canonical form is ``edge_index``: a read-only (m, 2) int64 array
     sorted by source, then target, with no self-loops and no duplicates.
     ``edge_weights``, when present, is a read-only float64 array aligned
@@ -44,6 +45,10 @@ class DirectedGraph:
     """
 
     def __init__(self, n: int, edges, weights=None, labels=None):
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise ValueError(f"node count {n!r} is not an integer") from None
         if n < 0:
             raise ValueError("node count must be nonnegative")
         idx = _pair_array(edges)
@@ -133,13 +138,24 @@ class DirectedGraph:
 
 
 def _pair_array(edges) -> np.ndarray:
-    """(m, 2) int64 array of a sequence of pairs or an (m, 2) array."""
-    idx = np.asarray(edges, dtype=np.int64)
+    """(m, 2) int64 array of a sequence of pairs or an (m, 2) array.
+
+    Float endpoints must be whole numbers; the first pair holding one that
+    is not is rejected, so nothing is truncated."""
+    idx = np.asarray(edges)
     if idx.size == 0:
         idx = idx.reshape(0, 2)
     if idx.ndim != 2 or idx.shape[1] != 2:
         raise ValueError("edges must be (source, target) pairs")
-    return idx
+    if idx.dtype.kind == "f":
+        # NaN, inf and floats beyond int64 cast to values unequal to them
+        with np.errstate(invalid="ignore"):
+            whole = idx.astype(np.int64)
+        bad = (whole != idx).any(axis=1)
+        if bad.any():
+            raise ValueError(f"edge {tuple(idx[np.argmax(bad)].tolist())} has an "
+                             "endpoint that is not a whole number")
+    return idx.astype(np.int64, copy=False)
 
 
 def _check_edges(n: int, idx: np.ndarray) -> None:
@@ -170,11 +186,9 @@ class ParseResult:
     weight_columns_ignored: int
 
 
-# lines split at a time: the token lists of one chunk are alive at once,
-# so this bounds the parse's peak memory
-_CHUNK_LINES = 16384
-# characters of plain text split at a time, for the same reason
-_CHUNK_CHARS = 1 << 19
+# characters split at a time: the labels or token lists of one chunk are
+# alive at once, so this bounds the parse's peak memory
+_CHUNK_CHARS = 1 << 17
 
 # the bytes of plain text: label bytes (printable ASCII other than '#' and
 # '%', which may start a comment), then the separators and the line end
@@ -193,33 +207,28 @@ def parse_edge_list(text: str, weighted: bool = False) -> ParseResult:
     counts the lines that have one.  When several lines are malformed, the
     error names the first of them.
 
-    Lines are split a chunk at a time; labels map to ids through one dict
-    and the rest is array work, so no Python object is kept per edge.
-    Unweighted text that is plain (see :func:`_scan_plain`) is split
-    ~512 kB at a time without cutting it into lines first; weighted text,
-    or text that turns out not to be plain, goes through the line scan of
-    ``text.splitlines()``.  Both give the same result.
+    :func:`_scan` splits the text a chunk at a time; labels map to ids
+    through one dict and the rest is array work, so no Python object is
+    kept per edge.
     """
-    scanned = None if weighted else _scan_plain(text)
-    if scanned is None:
-        scanned = _scan(text.splitlines(), weighted)
-    labels, ids, weights, error, ignored = scanned
+    labels, ids, weights, error, ignored = _scan(text, weighted)
     src, dst = ids[0::2], ids[1::2]
     n = len(labels)
     nonloop = np.flatnonzero(src != dst)
     keys = src[nonloop]
     keys *= n
     keys += dst[nonloop]
+    row = len(src)      # the scan stops before the row its error is about
     if weighted:
-        # a weighted duplicate is an error at its second line; the scan
-        # stopped before any row it found bad, so a duplicate comes first
+        # a weighted duplicate is an error at its second line, so it comes
+        # before the row the scan stopped at
         order = np.argsort(keys, kind="stable")
         repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
         if len(repeats):
             row = int(nonloop[repeats.min()])
-            error = (row, f"duplicate edge {labels[src[row]]} -> {labels[dst[row]]}")
+            error = f"duplicate edge {labels[src[row]]} -> {labels[dst[row]]}"
     if error is not None:
-        raise EdgeListError(error[1], _line_number(text.splitlines(), error[0]))
+        raise EdgeListError(error, _line_number(text.splitlines(), row))
     loops = len(src) - len(nonloop)
     if weighted:
         graph = DirectedGraph(n, np.column_stack((src[nonloop], dst[nonloop])),
@@ -238,93 +247,86 @@ def parse_edge_list(text: str, weighted: bool = False) -> ParseResult:
     return ParseResult(graph, loops, ignored)
 
 
-def _scan(lines: list[str], weighted: bool):
-    """Split ``lines`` a chunk at a time and map labels to ids.
+def _scan(text: str, weighted: bool):
+    """Split ``text`` a chunk at a time and map labels to ids.
+
+    Chunks of about ``_CHUNK_CHARS`` characters end just after a ``\n``,
+    so the lines of the chunks are those of ``text.splitlines()``.  An
+    unweighted chunk that :func:`_plain_ids` takes is split whole; any
+    other chunk goes through the line scan of :func:`_data_rows`.
 
     Returns (labels, ids, weights, error, ignored): ``ids`` interleaves the
     source and target id of each data row, ``weights`` holds the weights of
-    the non-loop rows in weighted mode, ``error`` is (data row, message)
-    for the first row with a wrong token count or a bad weight, or None,
-    and ``ignored`` counts the rows with a third column in unweighted mode.
-    Scanning stops at the bad row: ``ids`` ends before it.
+    the non-loop rows in weighted mode, ``error`` is the message for the
+    first row with a wrong token count or a bad weight, or None, and
+    ``ignored`` counts the rows with a third column in unweighted mode.
+    Scanning stops at the bad row: ``ids`` ends just before it.
     """
     arity = {3} if weighted else {2, 3}
     index = _label_index()
     ignored = 0
-    id_parts: list[np.ndarray] = []
-    weight_parts: list[np.ndarray] = []
+    id_parts = [np.empty(0, dtype=np.int64)]
+    weight_parts = [np.empty(0)]
     error = None
-    rows_before = 0
-    for start in range(0, len(lines), _CHUNK_LINES):
-        # same test as _line_number: a data row is a non-blank line whose
-        # first character after leading whitespace is not # or %
-        rows = [tokens for tokens in map(str.split, lines[start:start + _CHUNK_LINES])
-                if tokens and tokens[0][0] not in "#%"]
-        lengths = list(map(len, rows))
-        if not weighted:
-            ignored += lengths.count(3)
-        if not arity.issuperset(lengths):
-            r = next(r for r, length in enumerate(lengths) if length not in arity)
-            error = (rows_before + r,
-                     "expected 'src dst weight'" if weighted else "expected 'src dst'")
-            rows = rows[:r]
-        ids = _label_ids(index, list(itertools.chain.from_iterable(
-            map(operator.itemgetter(0, 1), rows))))
-        if weighted:
+    start = 0
+    while start < len(text) and error is None:
+        end = text.find("\n", start + _CHUNK_CHARS - 1) + 1 or len(text)
+        chunk, start = text[start:end], end
+        ids = None if weighted else _plain_ids(index, chunk)
+        if ids is None:
+            rows = _data_rows(chunk)
+            lengths = list(map(len, rows))
+            if not weighted:
+                ignored += lengths.count(3)
+            if not arity.issuperset(lengths):
+                error = "expected 'src dst weight'" if weighted else "expected 'src dst'"
+                rows = rows[:next(r for r, k in enumerate(lengths) if k not in arity)]
+            ids = _label_ids(index, list(itertools.chain.from_iterable(
+                map(operator.itemgetter(0, 1), rows))))
+        if weighted:        # so the chunk took the line scan
             nonloop = np.flatnonzero(ids[0::2] != ids[1::2]).tolist()
             weights, bad = _parse_weights([rows[r][2] for r in nonloop])
             if bad is None:
                 weight_parts.append(weights)
             else:
                 # keep the rows before this one: they can hold a duplicate
-                r = nonloop[bad[0]]
-                error = (rows_before + r, bad[1])
-                ids = ids[:2 * r]
+                ids = ids[:2 * nonloop[bad[0]]]
+                error = bad[1]
         id_parts.append(ids)
-        if error is not None:
-            break
-        rows_before += len(rows)
-    ids = np.concatenate(id_parts) if id_parts else np.empty(0, dtype=np.int64)
-    weights = None
-    if weighted:
-        weights = np.concatenate(weight_parts) if weight_parts else np.empty(0)
-    return tuple(index), ids, weights, error, ignored
+    weights = np.concatenate(weight_parts) if weighted else None
+    return tuple(index), np.concatenate(id_parts), weights, error, ignored
 
 
-def _scan_plain(text: str):
-    """:func:`_scan` of plain unweighted text, or None when it is not plain.
+def _plain_ids(index: defaultdict[str, int], chunk: str) -> np.ndarray | None:
+    """Ids of the labels of a plain chunk, two per edge, or None when the
+    chunk is not plain; a chunk that is not plain adds no label.
 
     Plain text is ASCII of printable characters, spaces, tabs and ``\n``
     only, holds no ``#`` or ``%``, and has 0 or 2 tokens on every line.
     On it ``str.split()`` and ``str.splitlines()`` cut where the line scan
-    would, no line is a comment and every line is valid, so one split of a
-    whole chunk yields the labels in line order, two per edge.  Chunks of
-    about ``_CHUNK_CHARS`` characters end just after a line end.
+    would, no line is a comment and every line is valid, so one split of
+    the whole chunk yields the labels in line order.
     """
-    index = _label_index()
-    id_parts: list[np.ndarray] = []
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _CHUNK_CHARS - 1)
-        end = len(text) if end < 0 else end + 1
-        chunk = text[start:end]
-        start = end
-        if not chunk.isascii():
-            return None
-        raw = chunk.encode("ascii")
-        if raw.translate(None, _PLAIN_BYTES):
-            return None
-        byte = np.frombuffer(raw, np.uint8)
-        # label bytes are the ones above the space; their runs are the
-        # tokens, so every other change of kind starts one
-        starts = np.flatnonzero(np.diff(byte > 0x20, prepend=False))[::2]
-        line_ends = np.append(np.flatnonzero(byte == 0x0A), len(byte))
-        tokens_per_line = np.diff(np.searchsorted(starts, line_ends), prepend=0)
-        if not ((tokens_per_line == 0) | (tokens_per_line == 2)).all():
-            return None
-        id_parts.append(_label_ids(index, chunk.split()))
-    ids = np.concatenate(id_parts) if id_parts else np.empty(0, dtype=np.int64)
-    return tuple(index), ids, None, None, 0
+    raw = chunk.encode("ascii") if chunk.isascii() else None
+    if raw is None or raw.translate(None, _PLAIN_BYTES):
+        return None
+    byte = np.frombuffer(raw, np.uint8)
+    # label bytes are the ones above the space; their runs are the
+    # tokens, so every other change of kind starts one
+    starts = np.flatnonzero(np.diff(byte > 0x20, prepend=False))[::2]
+    line_ends = np.append(np.flatnonzero(byte == 0x0A), len(byte))
+    tokens_per_line = np.diff(np.searchsorted(starts, line_ends), prepend=0)
+    if not ((tokens_per_line == 0) | (tokens_per_line == 2)).all():
+        return None
+    return _label_ids(index, chunk.split())
+
+
+def _data_rows(chunk: str) -> list[list[str]]:
+    """The token lists of the data rows of ``chunk``'s lines; same test as
+    :func:`_line_number`: a data row is a non-blank line whose first
+    character after leading whitespace is not # or %."""
+    return [tokens for tokens in map(str.split, chunk.splitlines())
+            if tokens and tokens[0][0] not in "#%"]
 
 
 def _label_index() -> defaultdict[str, int]:

@@ -192,9 +192,11 @@ def _select_g(graph: DirectedGraph, candidates: Sequence[float], gamma_min: floa
     """The selection, and the winning candidate's pair model and fit."""
     if not candidates:
         raise ValueError("need at least one candidate rotation")
-    for g in candidates:
+    for k, g in enumerate(candidates):
         if not 0.0 < g <= 0.5:
             raise ValueError(f"candidate g={g} outside (0, 1/2]")
+        if g in candidates[:k]:
+            raise ValueError(f"candidate g={g} repeated")
     phases = [magnetic_algorithm(graph, g) for g in candidates]
     models = [_PairModel(p.theta, p.g, graph) for p in phases]
     gamma_fits = [fit_gamma_mle(functools.partial(m.loglik, derivatives=True),

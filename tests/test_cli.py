@@ -209,6 +209,13 @@ class TestArgumentErrors:
         self.refused(capsys, *command, "--input", tmp_path / "missing.edges",
                      "--g-list", "1/2,1/0")
 
+    # one rotation written twice, in one form or in two
+    @pytest.mark.parametrize("g_list", ["1/3,1/3", "1/2,0.5", "1/4, 1/3 ,0.25"])
+    def test_repeated_rotation(self, tmp_path, capsys, g_list):
+        self.refused(capsys, "compare", "--input", FOOD_WEB, "--out-dir", tmp_path / "o",
+                     "--g-list", g_list)
+        assert not any(tmp_path.iterdir())
+
     # "--g=-1/3": argparse takes a bare "-1/3" for a flag, not a value
     @pytest.mark.parametrize("g", ["7/10", "0", "-1/3"])
     @pytest.mark.parametrize("command", [

@@ -128,16 +128,16 @@ def assert_parsers_agree(text, weighted):
 
 class TestParseOracle:
     @settings(max_examples=300, deadline=None)
-    @given(edge_list_texts(), st.booleans(), st.integers(1, 6))
+    @given(edge_list_texts(), st.booleans(), st.integers(1, 64))
     def test_matches_line_by_line_parser(self, text, weighted, chunk):
-        with mock.patch.object(graphs, "_CHUNK_LINES", chunk):
+        with mock.patch.object(graphs, "_CHUNK_CHARS", chunk):
             assert_parsers_agree(text, weighted)
 
     @settings(max_examples=300, deadline=None)
-    @given(edge_list_texts(), st.booleans(), st.integers(1, 6))
+    @given(edge_list_texts(), st.booleans(), st.integers(1, 64))
     def test_matches_line_by_line_parser_without_plain_scan(self, text, weighted, chunk):
-        with mock.patch.object(graphs, "_CHUNK_LINES", chunk), \
-                mock.patch.object(graphs, "_scan_plain", return_value=None):
+        with mock.patch.object(graphs, "_CHUNK_CHARS", chunk), \
+                mock.patch.object(graphs, "_plain_ids", return_value=None):
             assert_parsers_agree(text, weighted)
 
     @pytest.mark.parametrize("text, weighted, message", [
@@ -156,9 +156,11 @@ class TestParseOracle:
         ("a b 0_5\n", True, "line 1: weight 5.0 outside (0, 1)"),
         ("a b 1e-1\nb a 1\n", True, "line 2: weight 1.0 outside (0, 1)"),
     ])
-    @pytest.mark.parametrize("chunk", [1, 2, graphs._CHUNK_LINES])
+    # chunks of one line each (no line here is blank) and one chunk for the
+    # whole text
+    @pytest.mark.parametrize("chunk", [1, 2, 1 << 14])
     def test_error_precedence(self, text, weighted, message, chunk):
-        with mock.patch.object(graphs, "_CHUNK_LINES", chunk):
+        with mock.patch.object(graphs, "_CHUNK_CHARS", chunk):
             with pytest.raises(EdgeListError) as caught:
                 parse_edge_list(text, weighted=weighted)
         assert str(caught.value) == message
@@ -170,10 +172,10 @@ class TestParseOracle:
         assert result.graph.edge_weights.tolist() == [0.5]
         assert_parsers_agree("a a x\nb b 5\nb c 0.5\n", True)
 
-    @pytest.mark.parametrize("chunk", [1, graphs._CHUNK_LINES])
+    @pytest.mark.parametrize("chunk", [1, 1 << 14])
     def test_ignored_weight_columns_counted(self, chunk):
         text = "a b 0.5\nb c\n# c a 0.1\nc c 0.2\n\nc a x\n"
-        with mock.patch.object(graphs, "_CHUNK_LINES", chunk):
+        with mock.patch.object(graphs, "_CHUNK_CHARS", chunk):
             assert parse_edge_list(text).weight_columns_ignored == 3
         assert parse_edge_list("a b\nb c\n").weight_columns_ignored == 0
         assert parse_edge_list("a b 0.5\n", weighted=True).weight_columns_ignored == 0
@@ -182,14 +184,15 @@ class TestParseOracle:
     def test_texts_longer_than_one_chunk(self, weighted):
         rng = np.random.default_rng(8)
         names = [f"v{k}" for k in range(400)] + LABELS
-        pairs = rng.integers(0, len(names), (3 * graphs._CHUNK_LINES + 123, 2))
+        # about 28 characters a line: more than three chunks
+        pairs = rng.integers(0, len(names), (3 * graphs._CHUNK_CHARS // 20, 2))
         if weighted:    # a repeated edge would be an error
             pairs = rng.permutation(np.unique(pairs, axis=0))
         lines = [f"{names[i]} {names[j]} {rng.uniform(0.01, 0.99)!r}"
                  for i, j in pairs]
         lines[::97] = ["# comment"] * len(lines[::97])
-        assert len(lines) > 2 * graphs._CHUNK_LINES
         text = "\n".join(lines)
+        assert len(text) > 3 * graphs._CHUNK_CHARS
         assert parse_outcome(parse_edge_list, text, weighted)[0] != "error"
         assert_parsers_agree(text, weighted)
         # past the first chunk: a repeat of the first edge and a bad line
@@ -220,8 +223,8 @@ def plain_texts(draw):
 
 
 def line_scan_spy():
-    """Patch that records whether parse_edge_list fell back to the line scan."""
-    return mock.patch.object(graphs, "_scan", wraps=graphs._scan)
+    """Patch that records the chunks parse_edge_list sends to the line scan."""
+    return mock.patch.object(graphs, "_data_rows", wraps=graphs._data_rows)
 
 
 class TestPlainTextParse:
@@ -236,12 +239,13 @@ class TestPlainTextParse:
         "a b\r\nc d\n", "a b\nc d\x0ce f\n", "a b\nc\x1cd\n", "a b\nc\xa0d\n",
         "a b\n# c d\n", "a b\nc %d\n", "a b\nc d 0.5\n",
     ])
-    @pytest.mark.parametrize("chunk", [1, graphs._CHUNK_CHARS])
+    @pytest.mark.parametrize("chunk", [1, 1 << 19])
     def test_other_text_takes_the_line_scan(self, text, chunk):
-        # with chunk = 1 the first line passes and the second one does not
+        # with chunk = 1 the first line passes and the second one does not;
+        # otherwise the text is one chunk
         with mock.patch.object(graphs, "_CHUNK_CHARS", chunk), line_scan_spy() as spy:
             assert_parsers_agree(text, False)
-        assert spy.called
+        assert spy.call_count == 1
 
     # the first chunk is the first line: a bad line on either side of the
     # chunk boundary, a last line of one token with no line end, a carriage
@@ -254,11 +258,31 @@ class TestPlainTextParse:
     @pytest.mark.parametrize("boundary", [True, False], ids=["boundary", "one-chunk"])
     def test_refused_next_to_a_chunk_boundary(self, first, second, boundary):
         chunk = len(first) if boundary else graphs._CHUNK_CHARS
-        with mock.patch.object(graphs, "_CHUNK_CHARS", chunk):
-            assert graphs._scan_plain(first + second) is None
-            with line_scan_spy() as spy:
-                assert_parsers_agree(first + second, False)
-        assert spy.called
+        with mock.patch.object(graphs, "_CHUNK_CHARS", chunk), line_scan_spy() as spy:
+            assert_parsers_agree(first + second, False)
+        # the line scan takes only the chunk with the bad line
+        bad = second if first == "a b\n" else first
+        assert [c.args[0] for c in spy.call_args_list] == (
+            [bad] if boundary else [first + second])
+
+    @settings(max_examples=300, deadline=None)
+    @given(plain_texts(), st.integers(0, 30), st.sampled_from(["#", "% a b", "\t# a"]),
+           st.integers(1, 64))
+    def test_one_comment_line_sends_one_chunk_to_the_line_scan(self, text, at, comment,
+                                                               chunk):
+        lines = text.split("\n")
+        lines.insert(min(at, len(lines)), comment)
+        text = "\n".join(lines)
+        with mock.patch.object(graphs, "_CHUNK_CHARS", chunk), \
+                mock.patch.object(graphs, "_plain_ids", wraps=graphs._plain_ids) as plain, \
+                line_scan_spy() as spy:
+            assert_parsers_agree(text, False)
+        # every chunk is tested once, and only the one with the comment
+        # line, which no plain chunk holds, is split line by line
+        chunks = [c.args[1] for c in plain.call_args_list]
+        assert "".join(chunks) == text
+        assert [c.args[0] for c in spy.call_args_list] == [
+            next(c for c in chunks if comment.strip()[0] in c)]
 
     @pytest.mark.parametrize("source, weighted", [("a b 0.5\n", True)])
     def test_weighted_text_and_line_lists_take_the_line_scan(self, source, weighted):
@@ -288,13 +312,25 @@ def parse_peak_bytes(text) -> int:
 class TestParseMemory:
     def test_peak_memory_bounded(self, periodic_text):
         # the line scan, which every input that is not plain text takes
-        with mock.patch.object(graphs, "_scan_plain", return_value=None):
+        with mock.patch.object(graphs, "_plain_ids", return_value=None):
             assert parse_peak_bytes(periodic_text) <= 40e6
 
     def test_plain_text_peak_memory_bounded(self, periodic_text):
         with line_scan_spy() as spy:
             assert parse_peak_bytes(periodic_text) <= 20e6
         assert not spy.called
+
+    @pytest.mark.parametrize("where", ["header", "halfway"])
+    def test_commented_text_peak_memory_bounded(self, periodic_text, where):
+        # one comment line costs one chunk of the line scan, not the text
+        if where == "header":
+            text = "# header\n" + periodic_text
+        else:
+            half = periodic_text.index("\n", len(periodic_text) // 2) + 1
+            text = periodic_text[:half] + "% note\n" + periodic_text[half:]
+        with line_scan_spy() as spy:
+            assert parse_peak_bytes(text) <= 20e6
+        assert spy.call_count == 1
 
 
 class TestDirectedGraphInvariants:
@@ -351,6 +387,31 @@ class TestArrayConstruction:
                     w for _, w in sorted(zip(pairs, weights))]
         else:
             assert from_pairs == expected
+
+    @pytest.mark.parametrize("edges, named", [
+        ([(0.7, 1.9), (2, 0)], r"\(0.7, 1.9\)"),
+        (np.array([[2.0, 0.0], [0.0, 0.5]]), r"\(0.0, 0.5\)"),
+        ([(0, 1), (1, float("nan"))], r"\(1.0, nan\)"),
+        ([(0, 1), (1e30, 2)], r"\(1e\+30, 2.0\)"),
+    ])
+    def test_rejects_endpoint_that_is_not_whole(self, edges, named):
+        # named as given, not truncated
+        with pytest.raises(ValueError, match=f"edge {named} has an endpoint that is not"):
+            DirectedGraph(3, edges)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", None])
+    def test_rejects_node_count_that_is_not_an_integer(self, n):
+        with pytest.raises(ValueError, match="is not an integer"):
+            DirectedGraph(n, ())
+
+    def test_whole_floats_and_other_integer_types_accepted(self):
+        # np.loadtxt reads an edge list of numbers as float64
+        edges = np.loadtxt(io.StringIO("2 0\n0 1\n"))
+        expected = DirectedGraph(3, ((0, 1), (2, 0)))
+        assert DirectedGraph(3, edges) == expected
+        assert DirectedGraph(np.int64(3), edges.astype(np.int32)) == expected
+        assert DirectedGraph(3, [(2.0, 0), (0, 1.0)]) == expected
+        assert type(DirectedGraph(np.int64(3), ()).n) is int
 
     def test_sorts_targets_within_a_source(self):
         graph = DirectedGraph(3, np.array([[0, 2], [0, 1], [1, 0]]))

@@ -288,6 +288,12 @@ class TestSelectG:
         with pytest.raises(ValueError):
             select_g(DirectedGraph(2, ((0, 1),)), [0.7])
 
+    @pytest.mark.parametrize("run", [select_g, compare_models])
+    def test_repeated_candidate_rejected(self, run):
+        # one rotation solved and fitted twice would be reported twice
+        with pytest.raises(ValueError, match="repeated"):
+            run(DirectedGraph(3, ((0, 1), (1, 2), (2, 0))), [1 / 3, 1 / 4, 1 / 3])
+
     def test_identifies_generating_rotation(self):
         theta = gen_clustered_angles(4, 30, 0.2, 6)
         graph = prdrg_sample(PRDRGParams(theta, 5.0, 0.25), 7)
