@@ -39,9 +39,9 @@ class DirectedGraph:
     sorted by source, then target, with no self-loops and no duplicates.
     ``edge_weights``, when present, is a read-only float64 array aligned
     with it, every value strictly in (0, 1).  ``labels`` preserves the
-    node names from the source file so reports can show them.  The
-    ``reciprocated`` mask, weak connectivity and the symmetrized view are
-    built once per graph, on first use.
+    node names from the source file so reports can show them.  Weak
+    connectivity and the symmetrized view, the one sparse form of the
+    graph, are built once per graph, on first use.
     """
 
     def __init__(self, n: int, edges, weights=None, labels=None):
@@ -115,18 +115,14 @@ class DirectedGraph:
         return len(self.edge_index)
 
     @functools.cached_property
-    def reciprocated(self) -> np.ndarray:
-        """Read-only per-edge mask: True where the reverse edge is present too."""
-        return _reciprocated_mask(_paired_with_reverse(self))
-
-    @functools.cached_property
     def _weakly_connected(self) -> bool:
         return self.n <= 1 or connected_components(
             _edge_pattern(self), directed=True, connection="weak")[0] == 1
 
     @functools.cached_property
     def _symmetrized(self) -> SymmetrizedView:
-        """The weight-aware view that ``symmetrize`` and the level solve read."""
+        """The weight-aware view that ``symmetrize``, the level solve and
+        the pair model's edge term read."""
         return _symmetrize(self)
 
     @property
@@ -140,21 +136,36 @@ class DirectedGraph:
 def _pair_array(edges) -> np.ndarray:
     """(m, 2) int64 array of a sequence of pairs or an (m, 2) array.
 
-    Float endpoints must be whole numbers; the first pair holding one that
-    is not is rejected, so nothing is truncated."""
+    Integer and float arrays are taken (an object array of numeric pairs
+    as the list of them), and each endpoint must be a whole number within
+    int64; the first pair holding one that is not is rejected, so nothing
+    is truncated, wrapped or cast from another type.
+    """
     idx = np.asarray(edges)
     if idx.size == 0:
         idx = idx.reshape(0, 2)
     if idx.ndim != 2 or idx.shape[1] != 2:
         raise ValueError("edges must be (source, target) pairs")
-    if idx.dtype.kind == "f":
+    kind = idx.dtype.kind
+    if kind == "f":
         # NaN, inf and floats beyond int64 cast to values unequal to them
         with np.errstate(invalid="ignore"):
-            whole = idx.astype(np.int64)
-        bad = (whole != idx).any(axis=1)
-        if bad.any():
-            raise ValueError(f"edge {tuple(idx[np.argmax(bad)].tolist())} has an "
-                             "endpoint that is not a whole number")
+            bad = (idx.astype(np.int64) != idx).any(axis=1)
+    elif kind == "u":
+        bad = (idx > np.iinfo(np.int64).max).any(axis=1)
+    elif kind == "i":
+        bad = np.zeros(len(idx), dtype=bool)
+    else:
+        # strings, booleans, complex numbers or Python objects: name the
+        # first pair that is not numeric by itself, such as one holding
+        # None or an integer past uint64
+        bad = np.array([np.asarray(pair).dtype.kind not in "iuf"
+                        for pair in idx.tolist()], dtype=bool)
+        if not bad.any():
+            return _pair_array(idx.tolist())
+    if bad.any():
+        raise ValueError(f"edge {tuple(idx[np.argmax(bad)].tolist())} has an endpoint "
+                         "that is not a whole number within int64")
     return idx.astype(np.int64, copy=False)
 
 
@@ -228,7 +239,7 @@ def parse_edge_list(text: str, weighted: bool = False) -> ParseResult:
             row = int(nonloop[repeats.min()])
             error = f"duplicate edge {labels[src[row]]} -> {labels[dst[row]]}"
     if error is not None:
-        raise EdgeListError(error, _line_number(text.splitlines(), row))
+        raise EdgeListError(error, _line_number(text, row))
     loops = len(src) - len(nonloop)
     if weighted:
         graph = DirectedGraph(n, np.column_stack((src[nonloop], dst[nonloop])),
@@ -250,10 +261,9 @@ def parse_edge_list(text: str, weighted: bool = False) -> ParseResult:
 def _scan(text: str, weighted: bool):
     """Split ``text`` a chunk at a time and map labels to ids.
 
-    Chunks of about ``_CHUNK_CHARS`` characters end just after a ``\n``,
-    so the lines of the chunks are those of ``text.splitlines()``.  An
-    unweighted chunk that :func:`_plain_ids` takes is split whole; any
-    other chunk goes through the line scan of :func:`_data_rows`.
+    An unweighted chunk of :func:`_chunks` that :func:`_plain_ids` takes
+    is split whole; any other chunk goes through the line scan of
+    :func:`_data_rows`.
 
     Returns (labels, ids, weights, error, ignored): ``ids`` interleaves the
     source and target id of each data row, ``weights`` holds the weights of
@@ -268,10 +278,7 @@ def _scan(text: str, weighted: bool):
     id_parts = [np.empty(0, dtype=np.int64)]
     weight_parts = [np.empty(0)]
     error = None
-    start = 0
-    while start < len(text) and error is None:
-        end = text.find("\n", start + _CHUNK_CHARS - 1) + 1 or len(text)
-        chunk, start = text[start:end], end
+    for chunk in _chunks(text):
         ids = None if weighted else _plain_ids(index, chunk)
         if ids is None:
             rows = _data_rows(chunk)
@@ -293,8 +300,21 @@ def _scan(text: str, weighted: bool):
                 ids = ids[:2 * nonloop[bad[0]]]
                 error = bad[1]
         id_parts.append(ids)
+        if error is not None:
+            break
     weights = np.concatenate(weight_parts) if weighted else None
     return tuple(index), np.concatenate(id_parts), weights, error, ignored
+
+
+def _chunks(text: str):
+    """Consecutive pieces of ``text`` of about ``_CHUNK_CHARS`` characters,
+    each but the last ending just after a ``\n``, so the lines of the
+    pieces are those of ``text.splitlines()``."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK_CHARS - 1) + 1 or len(text)
+        yield text[start:end]
+        start = end
 
 
 def _plain_ids(index: defaultdict[str, int], chunk: str) -> np.ndarray | None:
@@ -360,14 +380,18 @@ def _parse_weights(tokens: list[str]):
             return None, (k, f"weight {w} outside (0, 1)")
 
 
-def _line_number(lines: list[str], row: int) -> int:
-    """1-based number of the line holding data row ``row`` (0-based)."""
-    for lineno, raw in enumerate(lines, start=1):
-        tokens = raw.split()
-        if tokens and tokens[0][0] not in "#%":
-            if row == 0:
-                return lineno
-            row -= 1
+def _line_number(text: str, row: int) -> int:
+    """1-based number of the line of ``text`` holding data row ``row``
+    (0-based), found a chunk at a time: only one chunk's lines are held."""
+    lineno = 0
+    for chunk in _chunks(text):
+        for raw in chunk.splitlines():
+            lineno += 1
+            tokens = raw.split()
+            if tokens and tokens[0][0] not in "#%":
+                if row == 0:
+                    return lineno
+                row -= 1
     raise IndexError(row)
 
 
@@ -522,45 +546,22 @@ def symmetrize(graph: DirectedGraph) -> SymmetrizedView:
     return graph._symmetrized
 
 
-def _paired_with_reverse(graph: DirectedGraph) -> csr_matrix:
-    """C = W + 1j * W^T as a CSR matrix with sorted indices, in O(n + m).
+def _symmetrize(graph: DirectedGraph) -> SymmetrizedView:
+    """The view of any graph, weights included (1 per edge when unweighted).
 
-    W is the weight matrix (the adjacency matrix when unweighted).  C's
-    pattern is every ordered pair with an edge either way; no entry is 0,
-    since every weight is positive.  The real part of an entry is the
-    weight of edge i -> j and the imaginary part that of j -> i, 0 where
-    that edge is absent.
+    One CSR transpose pairs each edge with its reverse: C = W + 1j * W^T,
+    from W's CSR and CSC arrays, has the pattern of every ordered pair
+    with an edge either way, and no entry of it is 0, since every weight
+    is positive.  On that pattern ``wsym`` is (Re C + Im C)/2 and
+    ``alpha`` is Re C - Im C; a reciprocated pair of equal weights keeps
+    an explicit 0 in ``alpha``.  O(n + m) time, with no sort of the edges.
     """
+    n = graph.n
     a = _edge_pattern(graph, graph.edge_weights)
     # W's CSC arrays are W^T's CSR, with sorted indices; the sum of two
     # matrices with sorted indices has them too
     t = a.tocsc()
-    return a + csr_matrix((1j * t.data, t.indices, t.indptr), shape=a.shape)
-
-
-def _reciprocated_mask(paired: csr_matrix) -> np.ndarray:
-    """The read-only ``reciprocated`` mask from C = _paired_with_reverse."""
-    data = paired.data
-    # the entries with a nonzero real part are the edges, in CSR order,
-    # which is the order of edge_index
-    mask = data.imag[data.real != 0] != 0
-    mask.setflags(write=False)
-    return mask
-
-
-def _symmetrize(graph: DirectedGraph) -> SymmetrizedView:
-    """The view of any graph, weights included (1 per edge when unweighted).
-
-    One CSR transpose pairs each edge with its reverse: on the pattern of
-    C = W + 1j * W^T, ``wsym`` is (Re C + Im C)/2 and ``alpha`` is
-    Re C - Im C.  A reciprocated pair of equal weights keeps an explicit 0
-    in ``alpha``.  The same C fills the graph's ``reciprocated`` cache when
-    it is empty.  O(n + m) time, with no sort of the edges.
-    """
-    n = graph.n
-    paired = _paired_with_reverse(graph)
-    if "reciprocated" not in graph.__dict__:
-        graph.__dict__["reciprocated"] = _reciprocated_mask(paired)
+    paired = a + csr_matrix((1j * t.data, t.indices, t.indptr), shape=a.shape)
     forward, backward = paired.data.real, paired.data.imag
     wsym = (forward + backward) / 2.0
     rows = np.repeat(np.arange(n), np.diff(paired.indptr))

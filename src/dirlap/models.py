@@ -23,7 +23,8 @@ from typing import Callable
 import numpy as np
 
 from .graphs import DirectedGraph
-from .spectral import TWO_PI, NumericalError, _check_rotation, _squared_level_gaps
+from .spectral import (TWO_PI, NumericalError, _check_rotation, _squared_level_gaps,
+                       frustration)
 
 
 def _check_gamma(gamma: float) -> float:
@@ -228,22 +229,6 @@ def _pair_rows(gamma: float, g: float, expected: bool, derivatives: bool):
     return rows
 
 
-def _observed_excess(graph: DirectedGraph, theta: np.ndarray, g: float) -> float:
-    """sum over pairs of (b_observed - b_none), in O(m).
-
-    Absent pairs contribute 0.  An unreciprocated edge i -> j contributes
-    cos(beta + 2*pi*g) - 1 with beta = theta_i - theta_j, whether the
-    pair counts it as its forward or its backward outcome.  A reciprocated
-    pair contributes 2*cos(beta) - 2, split over its two edges.
-    """
-    if graph.edge_count == 0:
-        return 0.0
-    src, dst = graph.edge_index.T
-    beta = theta[src] - theta[dst]
-    return float(np.sum(np.cos(beta + np.where(graph.reciprocated, 0.0, TWO_PI * g))
-                        - 1.0))
-
-
 # A gamma-model is one attribute vector's model with a ``name``, the
 # rotation ``g`` (None but for the pair model) and two probes:
 # ``loglik(gamma, derivatives=False)``, the log-likelihood, or (l, l', l'')
@@ -291,24 +276,27 @@ class _PairModel(_PairSumModel):
     Each pair contributes gamma*b_observed - log Z, and log Z equals
     gamma*b_none + log(1 + sum of the weights w of _pair_rows).  The gamma*b_none
     parts cancel against the observed term except on pairs with an edge,
-    so the likelihood is gamma * _observed_excess - sum over pairs of
-    log1p(...), the latter a Fourier pair sum; the expected count is the
-    Fourier pair sum of 2f + q + l.  Setup is O(n*K + m) and a probe
-    O(M log M).
+    so the likelihood is gamma * slope - sum over pairs of log1p(...), the
+    latter a Fourier pair sum; the expected count is the Fourier pair sum
+    of 2f + q + l.  The slope, the sum of b_observed - b_none, is minus
+    half the frustration of theta on the graph's symmetrized view: an
+    unreciprocated edge gives cos(beta + 2*pi*g) - 1 and a reciprocated
+    pair 2*cos(beta) - 2, with beta the angle difference along the edge.
+    Setup is O(n*K + m) and a probe O(M log M).
     """
 
     name = "directed-pRDRG"
 
     def __init__(self, theta, g: float, graph: DirectedGraph | None = None):
         theta = np.asarray(theta, dtype=float)
-        if graph is not None:
-            if graph.is_weighted:
-                raise ValueError("the pair model is defined for unweighted graphs")
-            if theta.shape != (graph.n,):
-                raise ValueError(f"theta has length {theta.size}, expected {graph.n}")
+        if graph is not None and graph.is_weighted:
+            raise ValueError("the pair model is defined for unweighted graphs")
         self.g = _check_rotation(g)
+        # frustration checks theta's length; 0.0 - keeps an edgeless
+        # graph's slope 0.0, not -0.0
+        self.slope = (None if graph is None
+                      else 0.0 - frustration(graph._symmetrized, theta, self.g) / 2)
         self.pairs = _AngleSpectrum(theta)
-        self.slope = None if graph is None else _observed_excess(graph, theta, self.g)
 
     def _rows(self, gamma: float, expected: bool, derivatives: bool):
         return _pair_rows(gamma, self.g, expected, derivatives)

@@ -102,19 +102,27 @@ def frustration(sym: SymmetrizedView, theta, g: float) -> float:
     """Total squared mismatch of the angles against the edge rotations.
 
     Sums W_ij * |exp(1j*theta_i) - exp(1j*delta_ij) * exp(1j*theta_j)|^2
-    over all ordered pairs, with delta_ij = -2*pi*g*alpha_ij.  Zero exactly
-    when every unreciprocated edge advances the angle by 2*pi*g and every
-    reciprocated pair sits at a common angle.
+    over all ordered pairs, with W = ``wsym`` and delta_ij =
+    -2*pi*g*alpha_ij.  Zero exactly when every unreciprocated edge
+    advances the angle by 2*pi*g and every reciprocated pair sits at a
+    common angle.  Minus half of it is the pair model's edge term.
+
+    Each term is 2 * W_ij * (1 - cos(theta_i - theta_j + 2*pi*g*alpha_ij)),
+    in real arithmetic.  The (i, j) and (j, i) terms are equal exactly, as
+    W is symmetric, the angle difference and alpha change sign exactly and
+    cos is even; so the view's entries with i < j are summed and doubled.
+    O(m).
     """
     g = _check_rotation(g)
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (sym.n,):
         raise ValueError(f"theta has length {theta.size}, expected {sym.n}")
-    coo = sym.wsym.tocoo()
-    phase = np.exp(1j * theta)
-    rot = np.exp(-1j * TWO_PI * g * sym.alpha.data)
-    diff = phase[coo.row] - rot * phase[coo.col]
-    return float(np.sum(coo.data * np.abs(diff) ** 2))
+    wsym = sym.wsym
+    rows = np.repeat(np.arange(sym.n), np.diff(wsym.indptr))
+    upper = np.flatnonzero(rows < wsym.indices)
+    angle = theta[rows[upper]] - theta[wsym.indices[upper]]
+    angle += TWO_PI * g * sym.alpha.data[upper]
+    return 4.0 * float(np.sum(wsym.data[upper] * (1.0 - np.cos(angle))))
 
 
 def build_magnetic_laplacian(sym: SymmetrizedView, g: float) -> MagneticLaplacian:

@@ -54,6 +54,17 @@ def reference_symmetrize(graph: DirectedGraph) -> SymmetrizedView:
         alpha=csr_matrix((alpha, cols, indptr), shape=(n, n)))
 
 
+def complex_frustration(sym: SymmetrizedView, theta, g: float) -> float:
+    """The frustration as one complex term per entry of the view,
+    wsym_ij * |exp(1j*theta_i) - exp(-2j*pi*g*alpha_ij) * exp(1j*theta_j)|^2:
+    the oracle for the real half-sum in dirlap.frustration."""
+    coo = sym.wsym.tocoo()
+    phase = np.exp(1j * np.asarray(theta, dtype=float))
+    rot = np.exp(-2j * np.pi * g * sym.alpha.data)
+    diff = phase[coo.row] - rot * phase[coo.col]
+    return float(np.sum(coo.data * np.abs(diff) ** 2))
+
+
 def reference_magnetic_laplacian(sym: SymmetrizedView, g: float) -> csr_matrix:
     """diag(degrees) - transporter o wsym by a sparse sum, with the
     transporter exp(-2*pi*g*alpha*1j) taken entry by entry: the oracle for
@@ -112,6 +123,20 @@ def random_graph(rng: np.random.Generator, n: int, p: float) -> DirectedGraph:
     mask = (rng.random((n, n)) < p) & ~np.eye(n, dtype=bool)
     edges = tuple((int(i), int(j)) for i, j in np.argwhere(mask))
     return DirectedGraph(n, edges)
+
+
+def symmetrize_cases(rng: np.random.Generator):
+    """Graphs with reciprocated pairs, one-way edges and isolated nodes, and
+    the degenerate ones: no nodes, one node, no edges; each also weighted."""
+    cases = [DirectedGraph(0, ()), DirectedGraph(1, ()), DirectedGraph(4, ()),
+             DirectedGraph(5, ((0, 1), (1, 0), (3, 1)))]
+    for _ in range(30):
+        graph = random_graph(rng, int(rng.integers(2, 40)), rng.uniform(0.02, 0.5))
+        cases.append(DirectedGraph(graph.n + 3, graph.edge_index))
+    for graph in cases:
+        yield graph
+        yield DirectedGraph(graph.n, graph.edge_index,
+                            weights=rng.uniform(0.01, 0.99, graph.edge_count))
 
 
 def random_weakly_connected_graph(rng: np.random.Generator, n: int,

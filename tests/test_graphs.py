@@ -16,7 +16,8 @@ from dirlap import (DirectedGraph, EdgeListError, GraphStructureError,
                     serialize_edge_list, serialize_ordering, symmetrize)
 from dirlap import graphs
 from helpers import (adjacency, random_graph, reference_graph_error,
-                     reference_parse_edge_list, reference_symmetrize)
+                     reference_parse_edge_list, reference_symmetrize,
+                     symmetrize_cases)
 
 
 class TestParseEdgeList:
@@ -332,6 +333,18 @@ class TestParseMemory:
             assert parse_peak_bytes(text) <= 20e6
         assert spy.call_count == 1
 
+    def test_error_numbers_its_line_a_chunk_at_a_time(self, periodic_text):
+        # a bad last line: numbering it holds one chunk's lines, not the text's
+        lines = periodic_text.count("\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(EdgeListError, match=f"^line {lines + 1}: expected"):
+                parse_edge_list(periodic_text + "x\n")
+            failing = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert failing <= 1.25 * parse_peak_bytes(periodic_text)
+
 
 class TestDirectedGraphInvariants:
     def test_rejects_self_loop(self):
@@ -399,6 +412,26 @@ class TestArrayConstruction:
         with pytest.raises(ValueError, match=f"edge {named} has an endpoint that is not"):
             DirectedGraph(3, edges)
 
+    @pytest.mark.parametrize("edges, named", [
+        ([("0", "1")], r"\('0', '1'\)"),
+        ([(True, False)], r"\(True, False\)"),
+        (np.array([[0, 1], [2, 0]], dtype=complex), r"\(0j, \(1\+0j\)\)"),
+        (np.array([[0, 1], [2**64 - 1, 1]], dtype=np.uint64),
+         r"\(18446744073709551615, 1\)"),
+        ([(0, 1), (2, 10**30)], r"\(2, 10{30}\)"),
+        ([(0, 1), (None, 2)], r"\(None, 2\)"),
+    ])
+    def test_rejects_endpoint_of_another_type_or_past_int64(self, edges, named):
+        # named as given, not cast, wrapped or left to a TypeError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"edge {named} has an endpoint that is not"):
+                DirectedGraph(3, edges)
+
+    def test_object_array_of_numeric_pairs_accepted(self):
+        edges = np.array([(0, 1), (2.0, 0)], dtype=object)
+        assert DirectedGraph(3, edges) == DirectedGraph(3, ((0, 1), (2, 0)))
+
     @pytest.mark.parametrize("n", [2.5, 3.0, "3", None])
     def test_rejects_node_count_that_is_not_an_integer(self, n):
         with pytest.raises(ValueError, match="is not an integer"):
@@ -428,17 +461,6 @@ class TestArrayConstruction:
         graph = DirectedGraph(2, ((0, 1),))
         with pytest.raises(AttributeError):
             graph.n = 3
-
-    def test_reciprocated_mask(self):
-        graph = DirectedGraph(4, ((0, 1), (1, 0), (1, 2), (3, 2), (2, 3)))
-        assert graph.reciprocated.tolist() == [True, True, False, True, True]
-        assert not graph.reciprocated.flags.writeable
-        assert DirectedGraph(2, ()).reciprocated.shape == (0,)
-
-    def test_reciprocated_mask_matches_adjacency(self):
-        for graph in symmetrize_cases(np.random.default_rng(21)):
-            src, dst = graph.edge_index.T
-            assert np.array_equal(graph.reciprocated, adjacency(graph)[dst, src] != 0)
 
 
 class TestEdgeIndex:
@@ -537,20 +559,6 @@ class TestComponents:
         assert graphs.is_weakly_connected(sub)
 
 
-def symmetrize_cases(rng: np.random.Generator):
-    """Graphs with reciprocated pairs, one-way edges and isolated nodes, and
-    the degenerate ones: no nodes, one node, no edges; each also weighted."""
-    cases = [DirectedGraph(0, ()), DirectedGraph(1, ()), DirectedGraph(4, ()),
-             DirectedGraph(5, ((0, 1), (1, 0), (3, 1)))]
-    for _ in range(30):
-        graph = random_graph(rng, int(rng.integers(2, 40)), rng.uniform(0.02, 0.5))
-        cases.append(DirectedGraph(graph.n + 3, graph.edge_index))
-    for graph in cases:
-        yield graph
-        yield DirectedGraph(graph.n, graph.edge_index,
-                            weights=rng.uniform(0.01, 0.99, graph.edge_count))
-
-
 class TestSymmetrize:
     def test_matches_sorted_key_oracle(self):
         for graph in symmetrize_cases(np.random.default_rng(19)):
@@ -559,30 +567,6 @@ class TestSymmetrize:
                 for part in ("data", "indices", "indptr"):
                     assert np.array_equal(getattr(ours, part), getattr(ref, part))
             assert np.array_equal(view.degrees, oracle.degrees)
-
-    def test_fills_reciprocated_cache(self):
-        # the view's C = W + iW^T gives the mask a standalone build gives
-        for graph in symmetrize_cases(np.random.default_rng(20)):
-            twin = DirectedGraph(graph.n, graph.edge_index, graph.edge_weights)
-            graphs._symmetrize(graph)
-            cached = graph.__dict__["reciprocated"]
-            assert np.array_equal(cached, twin.reciprocated)
-            assert not cached.flags.writeable
-            # a mask already cached is kept
-            graphs._symmetrize(graph)
-            assert graph.reciprocated is cached
-
-    def test_paired_with_reverse_is_the_sparse_sum(self):
-        # C = W + 1j W^T from W's CSC arrays, against the sum it replaced
-        for graph in symmetrize_cases(np.random.default_rng(23)):
-            w = graphs._edge_pattern(graph, graph.edge_weights)
-            reference = (w + 1j * w.T).tocsr()
-            reference.sort_indices()
-            paired = graphs._paired_with_reverse(graph)
-            assert paired.has_sorted_indices
-            for part in ("data", "indices", "indptr"):
-                ours, ref = getattr(paired, part), getattr(reference, part)
-                assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes()
 
     def test_single_edge(self):
         view = symmetrize(DirectedGraph(2, ((0, 1),)))

@@ -379,12 +379,8 @@ class TestCompareModels:
         assert runs == ["weak"]
 
     def test_pairs_edges_with_reverse_once(self, monkeypatch):
-        # the symmetrized view fills the pair model's reciprocated mask
-        import dirlap.graphs as graphs
-        calls = []
-        original = graphs._paired_with_reverse
-        monkeypatch.setattr(graphs, "_paired_with_reverse",
-                            lambda graph: calls.append(graph) or original(graph))
+        # the pair model's edge term reads the one symmetrized view
+        calls = count_view_builds(monkeypatch)
         theta = gen_clustered_angles(3, 15, 0.2, 14)
         compare_models(prdrg_sample(PRDRGParams(theta, 3.0, 1 / 3), 15))
         assert len(calls) == 1

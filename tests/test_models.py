@@ -18,7 +18,7 @@ from dirlap import (DirectedGraph, KernelModel, NumericalError, PRDRGParams,
                     trophic_edge_prob, trophic_expected_edges,
                     trophic_loglik, trophic_sample, weighted_trophic_logdensity)
 from dirlap.models import (_chebyshev_points, _level_rows, _LevelModel,
-                           _LevelPairSums, _observed_excess, _pair_rows, _PairModel,
+                           _LevelPairSums, _pair_rows, _PairModel,
                            _WeightedLevelModel, make_prdrg_loglik,
                            make_trophic_loglik)
 from helpers import (adjacency, barycentric_level_weights, block_cycle_graph,
@@ -168,31 +168,42 @@ class TestPrdrgLoglik:
             prdrg_loglik(graph, PRDRGParams(np.zeros(2), 1.0, 0.25))
 
     def test_observed_excess_is_one_cosine_per_edge(self):
-        # shifting a reciprocated edge's beta by 0.0 leaves it unchanged, so
-        # one cosine per edge gives exactly the sum of the two-cosine form
+        # an unreciprocated edge gives cos(beta + 2*pi*g) - 1 and each edge
+        # of a reciprocated pair cos(beta) - 1; the slope sums the view's
+        # pairs instead, so only the summation order differs
         rng = np.random.default_rng(12)
         graph = random_graph(rng, 40, 0.2)
-        assert graph.reciprocated.any() and not graph.reciprocated.all()
-        theta = rng.uniform(0, TWO_PI, graph.n)
         src, dst = graph.edge_index.T
+        reciprocated = adjacency(graph)[dst, src] != 0
+        assert reciprocated.any() and not reciprocated.all()
+        theta = rng.uniform(0, TWO_PI, graph.n)
         beta = theta[src] - theta[dst]
         for g in (0.0, 0.2, 1 / 3, 0.5):
-            two_cosines = np.where(graph.reciprocated, np.cos(beta),
-                                   np.cos(beta + TWO_PI * g))
-            assert _observed_excess(graph, theta, g) == float(np.sum(two_cosines - 1.0))
+            two_cosines = np.where(reciprocated, np.cos(beta), np.cos(beta + TWO_PI * g))
+            assert _PairModel(theta, g, graph).slope == pytest.approx(
+                float(np.sum(two_cosines - 1.0)), rel=1e-13)
 
     def test_observed_excess_is_minus_the_magnetic_quadratic_form(self):
         # the likelihood's edge term is -psi^H L psi = -frustration / 2 for
         # psi = exp(i theta), the quantity the magnetic algorithm minimizes
         rng = np.random.default_rng(14)
         graph = random_graph(rng, 40, 0.2)
-        assert graph.reciprocated.any() and not graph.reciprocated.all()
         theta = rng.uniform(0, TWO_PI, graph.n)
         sym = symmetrize(graph)
         for g in (0.0, 0.2, 1 / 3, 0.37, 0.5):
             form = quadratic_form(build_magnetic_laplacian(sym, g), np.exp(1j * theta))
-            assert _observed_excess(graph, theta, g) == pytest.approx(-form, rel=1e-12)
-            assert form == pytest.approx(frustration(sym, theta, g) / 2, rel=1e-12)
+            slope = _PairModel(theta, g, graph).slope
+            assert slope == pytest.approx(-form, rel=1e-12)
+            assert slope == -frustration(sym, theta, g) / 2
+
+    def test_edgeless_slope_is_positive_zero(self):
+        for n in (0, 1, 3):
+            slope = _PairModel(np.zeros(n), 0.25, DirectedGraph(n, ())).slope
+            assert slope == 0.0 and math.copysign(1.0, slope) == 1.0
+
+    def test_theta_length_checked(self):
+        with pytest.raises(ValueError, match="theta has length 2, expected 3"):
+            _PairModel(np.zeros(2), 0.25, DirectedGraph(3, ((0, 1),)))
 
 
 def assert_pair_sums_match_oracle(graph, theta, g, gammas=ORACLE_GAMMAS):

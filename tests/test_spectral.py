@@ -21,9 +21,10 @@ from dirlap import spectral
 from dirlap.cli import main
 from dirlap.graphs import _symmetrize
 from helpers import (block_cycle_graph, build_trophic_system,
-                     count_view_builds, dense_trophic_levels, level_fixtures,
-                     random_graph, random_weakly_connected_graph,
-                     reference_magnetic_laplacian)
+                     complex_frustration, count_view_builds,
+                     dense_trophic_levels, level_fixtures, random_graph,
+                     random_weakly_connected_graph,
+                     reference_magnetic_laplacian, symmetrize_cases)
 
 TWO_PI = 2 * np.pi
 
@@ -63,6 +64,17 @@ class TestFrustration:
         sym = symmetrize(DirectedGraph(2, ((0, 1),)))
         with pytest.raises(ValueError):
             frustration(sym, (0.0,), 0.25)
+
+    def test_matches_complex_oracle(self):
+        # the real half-sum against one complex term per entry, weighted
+        # views included
+        rng = np.random.default_rng(31)
+        for graph in symmetrize_cases(rng):
+            sym = graph._symmetrized
+            theta = rng.uniform(0, TWO_PI, graph.n)
+            for g in (0.0, 0.2, 1 / 3, 0.5):
+                assert frustration(sym, theta, g) == pytest.approx(
+                    complex_frustration(sym, theta, g), rel=1e-12, abs=0.0)
 
 
 class TestMagneticLaplacian:
